@@ -3,182 +3,7 @@
 Simulates gentle measurement, amplified OR testing, gentle binary search,
 postselection-driven hypothesis refinement, promise-gap deciders, and the
 matching hard-instance families, with strict copy accounting throughout.
+Import names from the submodules, e.g. `shadowtomo.scenarios`.
 """
 
-from .config import (
-    CONSTRUCTION_ATOL,
-    DEFAULT_CONSTANTS,
-    DEFAULT_DIM_CAP,
-    POST_ARITHMETIC_ATOL,
-    Constants,
-)
-from .errors import (
-    BudgetExhaustedError,
-    ConfigError,
-    DegenerateBranchError,
-    DegeneratePostselectionError,
-    DimensionCapError,
-    DimensionMismatchError,
-    IterationBoundExceededError,
-    ModeUnsupportedError,
-    NotPSDError,
-    RejectionLimitError,
-    ShadowTomoError,
-)
-from .hardness import (
-    ClassicalHardInstance,
-    EntropyReport,
-    QuantumHardInstance,
-    entropy_report,
-    gen_classical_hard_instance,
-    gen_quantum_hard_instance,
-    hlw_overlap_experiment,
-    identify_index_classical,
-    identify_index_quantum,
-)
-from .instances import (
-    Instance,
-    diagonal_gap_instance,
-    haar_isometry,
-    haar_unitary,
-    make_instance,
-    near_certain_effect,
-    or_promise_instance,
-    projector_instance,
-    random_density,
-    random_effect,
-    random_projector,
-    random_pure,
-)
-from .ledger import CopyBatch, CopyLedger, CopySource
-from .modes import FidelityMode
-from .money import WiesnerInstance, make_wiesner_instance
-from .orbound import (
-    OrTestResult,
-    OrBoundParams,
-    OrDecision,
-    controlled_or_test,
-    or_bound_decide,
-    random_order_or_test,
-)
-from .quantum import (
-    DensityMatrix,
-    Effect,
-    ThresholdEffect,
-    accept_prob,
-    apply_effect,
-    binomial_tail,
-    materialize_threshold,
-    sequential_accept_all,
-    threshold_accept_prob,
-)
-from .rng import substream
-from .scenarios import (
-    SCENARIO_NAMES,
-    ScenarioConfig,
-    build_config,
-    load_config,
-    resolve,
-    run_scenario,
-    run_trial,
-)
-from .search import (
-    SearchParams,
-    SearchResult,
-    gentle_search,
-    search_budget,
-    search_copy_bound,
-)
-from .shadow import (
-    ShadowParams,
-    ShadowRun,
-    Transcript,
-    TranscriptStep,
-    derive_params,
-    run_promise_gap,
-    run_shadow_tomography,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExhaustedError",
-    "CONSTRUCTION_ATOL",
-    "ClassicalHardInstance",
-    "ConfigError",
-    "Constants",
-    "CopyBatch",
-    "CopyLedger",
-    "CopySource",
-    "DEFAULT_CONSTANTS",
-    "DEFAULT_DIM_CAP",
-    "DegenerateBranchError",
-    "DegeneratePostselectionError",
-    "DensityMatrix",
-    "DimensionCapError",
-    "DimensionMismatchError",
-    "Effect",
-    "EntropyReport",
-    "FidelityMode",
-    "OrTestResult",
-    "Instance",
-    "IterationBoundExceededError",
-    "ModeUnsupportedError",
-    "NotPSDError",
-    "OrBoundParams",
-    "OrDecision",
-    "POST_ARITHMETIC_ATOL",
-    "QuantumHardInstance",
-    "RejectionLimitError",
-    "SCENARIO_NAMES",
-    "ScenarioConfig",
-    "SearchParams",
-    "SearchResult",
-    "ShadowParams",
-    "ShadowRun",
-    "ShadowTomoError",
-    "ThresholdEffect",
-    "Transcript",
-    "TranscriptStep",
-    "WiesnerInstance",
-    "accept_prob",
-    "apply_effect",
-    "binomial_tail",
-    "build_config",
-    "controlled_or_test",
-    "derive_params",
-    "diagonal_gap_instance",
-    "entropy_report",
-    "gen_classical_hard_instance",
-    "gen_quantum_hard_instance",
-    "gentle_search",
-    "haar_isometry",
-    "haar_unitary",
-    "hlw_overlap_experiment",
-    "identify_index_classical",
-    "identify_index_quantum",
-    "load_config",
-    "make_instance",
-    "make_wiesner_instance",
-    "materialize_threshold",
-    "near_certain_effect",
-    "or_bound_decide",
-    "or_promise_instance",
-    "projector_instance",
-    "random_density",
-    "random_effect",
-    "random_order_or_test",
-    "random_projector",
-    "random_pure",
-    "resolve",
-    "run_promise_gap",
-    "run_scenario",
-    "run_shadow_tomography",
-    "run_trial",
-    "search_budget",
-    "search_copy_bound",
-    "sequential_accept_all",
-    "substream",
-    "threshold_accept_prob",
-    "__version__",
-]

@@ -14,27 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, ShadowTomoError
-from .scenarios import (
-    SCENARIO_BLURBS,
-    SCENARIO_NAMES,
-    build_config,
-    parse_config_text,
-    resolve,
-    run_scenario,
-)
+from .scenarios import SCENARIOS, build_config, load_config_pairs, resolve, run_scenario
 
 ENV_SEED = "SHADOWTOMO_SEED"
-
-
-def _load_pairs(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, origin=path)
 
 
 def _apply_overrides(pairs: dict[str, str], args) -> dict[str, str]:
@@ -56,7 +41,7 @@ def _apply_overrides(pairs: dict[str, str], args) -> dict[str, str]:
 
 
 def _cmd_run(args) -> int:
-    pairs = _apply_overrides(_load_pairs(args.config), args)
+    pairs = _apply_overrides(load_config_pairs(args.config), args)
     cfg = resolve(build_config(pairs))
     outcome = run_scenario(cfg)
     agg = outcome.summary["aggregate"]
@@ -73,24 +58,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    width = max(len(name) for name in SCENARIO_NAMES)
-    for name in SCENARIO_NAMES:
-        print(f"{name:<{width}}  {SCENARIO_BLURBS[name]}")
+    width = max(len(name) for name in SCENARIOS)
+    for name, scenario in SCENARIOS.items():
+        print(f"{name:<{width}}  {scenario.blurb}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    pairs = _apply_overrides(_load_pairs(args.config), args)
+    pairs = _apply_overrides(load_config_pairs(args.config), args)
     cfg = resolve(build_config(pairs))
     print(f"config ok: scenario={cfg.scenario}")
-    print(f"  trials={cfg.trials} seed={cfg.seed} mode={cfg.mode} workers={cfg.workers}")
-    for key in ("d", "m", "n", "k", "qubits", "epsilon", "delta", "c", "q", "t_samples",
-                "case", "planted_value", "low_cap", "budget"):
-        value = getattr(cfg, key)
+    for f in fields(cfg)[1:]:
+        value = getattr(cfg, f.name)
         if value is not None:
-            print(f"  {key}={value}")
+            print(f"  {f.name}={value}")
     print(f"  constants={cfg.constants().as_dict()}")
-    print(f"  out_dir={cfg.out_dir}")
     return 0
 
 

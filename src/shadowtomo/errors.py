@@ -11,7 +11,11 @@ class DimensionCapError(ShadowTomoError):
     def __init__(self, requested: int, cap: int, what: str = "tensor product"):
         self.requested = requested
         self.cap = cap
+        self.what = what
         super().__init__(f"{what} of dimension {requested} exceeds cap {cap}")
+
+    def __reduce__(self):  # a trial worker sends its error back pickled
+        return type(self), (self.requested, self.cap, self.what)
 
 
 class DimensionMismatchError(ShadowTomoError):
@@ -41,6 +45,9 @@ class BudgetExhaustedError(ShadowTomoError):
         super().__init__(
             f"copy budget exhausted: requested {requested} with {consumed} consumed of {budget}"
         )
+
+    def __reduce__(self):  # a trial worker sends its error back pickled
+        return type(self), (self.requested, self.snapshot)
 
 
 class IterationBoundExceededError(ShadowTomoError):

@@ -113,13 +113,6 @@ def near_certain_effect(rho: DensityMatrix, epsilon: float, rng: np.random.Gener
     return Effect(np.eye(d) - scale * np.asarray(bite.mat), atol=CONSTRUCTION_ATOL)
 
 
-def near_certain_pair(
-    d: int, epsilon: float, rng: np.random.Generator
-) -> tuple[DensityMatrix, Effect]:
-    rho = random_density(d, rng)
-    return rho, near_certain_effect(rho, epsilon, rng)
-
-
 def or_promise_instance(
     d: int,
     m: int,

@@ -57,24 +57,6 @@ class CopyLedger:
             "attribution": dict(self.attribution),
         }
 
-    def report(self, predicted: int | None = None) -> dict:
-        """Consumption summary; ratio is 1.0 when both sides are zero."""
-        rec = self.snapshot()
-        rec["predicted"] = predicted
-        if predicted is None:
-            rec["ratio"] = None
-            rec["within_predicted"] = None
-        elif predicted == 0:
-            rec["ratio"] = 1.0 if self.consumed == 0 else float("inf")
-            rec["within_predicted"] = self.consumed == 0
-        else:
-            rec["ratio"] = self.consumed / predicted
-            rec["within_predicted"] = self.consumed <= predicted
-        return rec
-
-    def csv_rows(self) -> list[tuple[str, int]]:
-        return sorted(self.attribution.items())
-
 
 class CopySource:
     """Dispenses copies of a hidden state in a chosen fidelity mode."""
@@ -96,13 +78,6 @@ class CopySource:
     @property
     def dim(self) -> int:
         return self._true_state.dim
-
-    @property
-    def is_classical(self) -> bool:
-        """Whether the hidden state is diagonal (structural fact, not a leak)."""
-        m = self._true_state.mat
-        off = m - np.diag(np.diag(m))
-        return float(np.max(np.abs(off))) < 1e-12 if off.size else True
 
     def dispense(self, n_copies: int, phase: str) -> "CopyBatch":
         if n_copies < 0:
@@ -245,19 +220,6 @@ class PerCopyBatch(CopyBatch):
 
     def measure_count(self, e: Effect) -> int:
         return int(self._measure_copies(e, np.arange(self.n_copies)).sum())
-
-    def prefix_view(self, n_copies: int) -> "PerCopyBatch":
-        """A batch over the first n_copies of this one, sharing the
-        underlying per-copy states. Supports copy reuse on classical
-        instances, where re-measurement is exact conditioning."""
-        if not 1 <= n_copies <= self.n_copies:
-            raise DimensionMismatchError(
-                f"cannot view {n_copies} copies of a batch holding {self.n_copies}"
-            )
-        view = PerCopyBatch.__new__(PerCopyBatch)
-        CopyBatch.__init__(view, self.source, n_copies)
-        view._states = self._states[:n_copies]
-        return view
 
 
 class ExactBatch(CopyBatch):

@@ -60,16 +60,6 @@ def eigh_spectrum(a: np.ndarray) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a hard cap on the resulting dimension."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > cap:
-        raise DimensionCapError(dim, cap)
-    return np.kron(a, b)
-
-
 def tensor_power(a: np.ndarray, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """k-fold tensor power of a square matrix, cap-checked up front."""
     a = as_complex_matrix(a)

@@ -32,11 +32,3 @@ class FidelityMode(str, Enum):
 
     def __str__(self) -> str:  # keep CSV/JSON output plain
         return self.value
-
-
-def parse_mode(name: str) -> FidelityMode:
-    try:
-        return FidelityMode(name)
-    except ValueError:
-        valid = ", ".join(m.value for m in FidelityMode)
-        raise ValueError(f"unknown fidelity mode {name!r}; expected one of {valid}") from None

@@ -225,7 +225,6 @@ def or_bound_decide(
     rho_source: CopySource,
     params: OrBoundParams,
     mode: FidelityMode,
-    reuse_batch: CopyBatch | None = None,
     phase: str = "or-rounds",
 ) -> OrDecision:
     """Decide whether some effect accepts with probability >= c (case_i) or
@@ -253,18 +252,13 @@ def or_bound_decide(
     amplified = [None if m is None else _amplified(m, ell, threshold) for m in effects]
 
     accept_count = 0
-    copies = 0
     for _ in range(rounds):
-        if reuse_batch is not None:
-            batch = reuse_batch
-        else:
-            batch = rho_source.dispense(ell * w, phase)
-            copies += ell * w
+        batch = rho_source.dispense(ell * w, phase)
         if _inner_or_round(batch, amplified, mode, rho_source, ell, w):
             accept_count += 1
 
     case = "case_i" if 16 * accept_count >= rounds else "case_ii"
-    return OrDecision(case, accept_count, rounds, ell, threshold, copies)
+    return OrDecision(case, accept_count, rounds, ell, threshold, ell * w * rounds)
 
 
 def _inner_or_round(
@@ -275,16 +269,11 @@ def _inner_or_round(
     ell: int,
     w: int,
 ) -> bool:
-    if mode is FidelityMode.FRESH_COPY_STATISTICAL:
-        # Damage-free OR: each amplified candidate sampled independently at
-        # its exact product acceptance probability.
-        for m in amplified:
-            if m is not None and batch.measure_collective(m):
-                return True
-        return False
-    if mode is FidelityMode.PER_COPY_COLLAPSE:
-        # Sequential collective thresholds with per-copy collapse; earlier
-        # rejections damage the block the later candidates see.
+    if mode is not FidelityMode.EXACT_TENSOR:
+        # Sequential collective thresholds on the block. Fresh-copy batches
+        # sample each candidate independently at its exact product
+        # acceptance; per-copy batches collapse, so earlier rejections damage
+        # the block the later candidates see.
         for m in amplified:
             if m is not None and batch.measure_collective(m):
                 return True

@@ -122,12 +122,6 @@ class ThresholdEffect:
             return self.threshold == self.registers + 1
         return self.threshold == -1
 
-    @property
-    def always_accepts(self) -> bool:
-        if self.direction == "at_least":
-            return self.threshold == 0
-        return self.threshold == self.registers
-
 
 def unit_width(m: Measurement) -> int:
     """Number of base copies one application of `m` consumes."""

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
-from .errors import DimensionMismatchError, ModeUnsupportedError
-from .ledger import CopySource, PerCopyBatch
+from .errors import DimensionMismatchError
+from .ledger import CopySource
 from .modes import FidelityMode
 from .orbound import OrBoundParams, or_bound_decide
 from .quantum import Measurement, unit_width
@@ -154,7 +154,6 @@ def gentle_search(
     rho_source: CopySource,
     params: SearchParams,
     mode: FidelityMode,
-    reuse_copies: bool = False,
     phase: str = "search",
 ) -> SearchResult:
     """Find an index whose acceptance is >= c - eps, assuming some index
@@ -162,20 +161,14 @@ def gentle_search(
 
     Entries may be None (never-accept padding); a None survivor reports
     not-found without verification. The returned index refers to the input
-    list. reuse_copies draws one block sized for the first level and
-    re-measures its prefixes at every level instead of drawing fresh
-    blocks; that is exact conditioning only when the hidden state is
-    diagonal, so it requires a classical source in per-copy mode.
-    Verification always uses fresh copies.
+    list. Every level and the verification draw fresh copies.
     """
     mode = FidelityMode(mode)
     live = [m for m in effects if m is not None]
     if not live:
         raise ValueError("need at least one real candidate")
-    widths = {unit_width(m) for m in live}
-    if len(widths) != 1:
+    if len({unit_width(m) for m in live}) != 1:
         raise DimensionMismatchError("all candidates must share a unit width")
-    w = widths.pop()
 
     m2 = _next_pow2(len(effects))
     padded: list[Measurement | None] = list(effects) + [None] * (m2 - len(effects))
@@ -183,15 +176,6 @@ def gentle_search(
     gap = min(params.epsilon, params.c - params.epsilon)
     bar_final = params.c - params.epsilon
     consumed_before = rho_source.ledger.consumed
-
-    block: PerCopyBatch | None = None
-    if reuse_copies and levels > 0:
-        if not rho_source.is_classical:
-            raise ModeUnsupportedError("copy reuse is exact only for diagonal (classical) states")
-        if mode is not FidelityMode.PER_COPY_COLLAPSE:
-            raise ModeUnsupportedError("copy reuse requires per-copy mode")
-        budget = search_budget(len(effects), params)
-        block = rho_source.dispense(budget.ells[0] * w, phase + "-reused")
 
     window = padded
     offset = 0
@@ -205,12 +189,7 @@ def gentle_search(
             case = "case_ii"
         else:
             or_params = OrBoundParams(c=bar, epsilon=alpha, delta=beta, constants=params.constants)
-            reuse_batch = None
-            if block is not None:
-                reuse_batch = block.prefix_view(or_params.derived_ell(half) * w)
-            case = or_bound_decide(
-                first, rho_source, or_params, mode, reuse_batch=reuse_batch, phase=phase + "-or"
-            ).case
+            case = or_bound_decide(first, rho_source, or_params, mode, phase=phase + "-or").case
         if case == "case_i":
             window = first
         else:

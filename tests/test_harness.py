@@ -2,13 +2,14 @@
 command-line interface."""
 
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shadowtomo import scenarios
 from shadowtomo.cli import main
-from shadowtomo.errors import ConfigError
+from shadowtomo.errors import BudgetExhaustedError, ConfigError
 from shadowtomo.results import (
     CSV_HEADER,
     TrialRow,
@@ -19,7 +20,7 @@ from shadowtomo.results import (
     write_json,
 )
 from shadowtomo.scenarios import (
-    SCENARIO_NAMES,
+    SCENARIOS,
     ScenarioConfig,
     build_config,
     load_config,
@@ -28,6 +29,9 @@ from shadowtomo.scenarios import (
     run_scenario,
     run_trial,
 )
+from shadowtomo.shadow import ShadowRun, Transcript
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 EXPECTED_SCENARIOS = {
@@ -67,8 +71,8 @@ def make_row(**over):
 
 
 def test_scenario_catalog_is_complete():
-    assert set(SCENARIO_NAMES) == EXPECTED_SCENARIOS
-    assert len(SCENARIO_NAMES) == 12
+    assert set(SCENARIOS) == EXPECTED_SCENARIOS
+    assert len(SCENARIOS) == 12
 
 
 def test_parse_config_text_basics():
@@ -97,11 +101,25 @@ def test_build_config_maps_uppercase_dimension_names():
     cfg = build_config({"scenario": "gap", "D": "8", "M": "4"})
     assert cfg.d == 8
     assert cfg.m == 4
+    with pytest.raises(ConfigError) as exc:
+        build_config({"scenario": "gap", "d": "8"})
+    assert "'d'" in str(exc.value)
+
+
+def test_build_config_parses_each_field_to_its_type():
+    cfg = build_config({"scenario": "gap", "trials": "7", "epsilon": "0.25", "mode": "exact_tensor"})
+    assert cfg.trials == 7 and type(cfg.trials) is int
+    assert cfg.epsilon == 0.25 and type(cfg.epsilon) is float
+    assert cfg.mode == "exact_tensor" and type(cfg.mode) is str
 
 
 def test_build_config_rejects_bad_int():
     with pytest.raises(ConfigError):
         build_config({"scenario": "gap", "trials": "three"})
+    with pytest.raises(ConfigError):
+        build_config({"scenario": "gap", "trials": "1.5"})
+    with pytest.raises(ConfigError):
+        build_config({"scenario": "gap", "epsilon": "small"})
 
 
 def test_resolve_fills_scenario_defaults():
@@ -198,6 +216,9 @@ def test_run_scenario_emits_files_and_is_reproducible(tmp_path):
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["scenario"] == "gap"
     assert summary["aggregate"]["trials"] == 4
+    # parameters are echoed under their config-file keys
+    assert summary["parameters"]["D"] == 4 and summary["parameters"]["M"] == 16
+    assert "d" not in summary["parameters"] and "m" not in summary["parameters"]
 
 
 def test_run_scenario_workers_match_serial(tmp_path):
@@ -240,6 +261,11 @@ def test_cli_validate_config(tmp_path, capsys):
     p.write_text("scenario = hlw\ntrials = 10\n")
     assert main(["validate-config", str(p)]) == 0
     assert "scenario=hlw" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_cli_validate_shipped_configs(path, capsys):
+    assert main(["validate-config", str(path)]) == 0
 
 
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
@@ -288,3 +314,36 @@ def test_cli_rerun_byte_identical(tmp_path):
 
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_shadow_budget_exhaustion_raises_and_exits_3(tmp_path, capsys):
+    cfg = resolve(ScenarioConfig(scenario="shadow", trials=1, budget=1))
+    with pytest.raises(BudgetExhaustedError):
+        run_trial(cfg, 0)
+    code = main(
+        ["run", "--config", str(CONFIGS / "shadow.cfg"), "--set", "trials=1", "--set", "budget=1",
+         "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == 3
+    assert "BudgetExhaustedError" in capsys.readouterr().err
+    # a worker process hands the same error back to the CLI
+    code = main(
+        ["run", "--config", str(CONFIGS / "shadow.cfg"), "--set", "trials=2", "--set", "budget=1",
+         "--workers", "2", "--out-dir", str(tmp_path / "pool")]
+    )
+    assert code == 3
+    assert "BudgetExhaustedError" in capsys.readouterr().err
+
+
+def test_money_true_key_check_reads_the_minted_key(monkeypatch):
+    def fake_run(effects, source, params, mode):
+        truth = np.array([source.ground_truth_accept_prob(e) for e in effects])
+        estimates = truth.copy()
+        # the minted key accepts with certainty, so the least-accepted key is another one
+        estimates[int(np.argmin(truth))] += 0.5
+        return ShadowRun(estimates, Transcript((), "no deviation detector confirmed", 0), 0, 1.0)
+
+    monkeypatch.setattr(scenarios, "run_shadow_tomography", fake_run)
+    row, extras = run_trial(resolve(ScenarioConfig(scenario="money-demo", trials=1)), 0)
+    assert row.max_error == pytest.approx(0.5)
+    assert extras["true_key_within_eps"]

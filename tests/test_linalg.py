@@ -14,7 +14,6 @@ from shadowtomo.linalg import (
     hermitize,
     partial_trace_keep,
     tensor_power,
-    tensor_product,
     trace_distance,
     trace_norm,
     validate,
@@ -42,13 +41,6 @@ def test_as_complex_matrix_accepts_square_arrays():
 def test_as_complex_matrix_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         as_complex_matrix(np.zeros((2, 3)))
-
-
-def test_tensor_product_matches_kron():
-    rng = substream(0, 0)
-    a = random_herm(2, rng)
-    b = random_herm(3, rng)
-    assert np.allclose(tensor_product(a, b), np.kron(a, b))
 
 
 def test_tensor_power_matches_repeated_kron():
