@@ -8,6 +8,14 @@ hypothesis is free and never touches the ledger.
 
 The explicitly labeled ground-truth oracle on CopySource exists for
 validation and reporting only; production estimation paths must not call it.
+
+In fresh_copy_statistical mode a CopySource memoizes each measurement's
+per-unit acceptance probability, keyed by object identity. This is sound
+because that mode never changes the hidden state, the state is immutable, and
+every Effect and ThresholdEffect is frozen: the same object always has the
+same acceptance. The memo only skips recomputation: every dispense still
+debits the ledger, and every measurement still checks its shape and draws its
+uniforms as before, so no random draw changes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from .quantum import (
     DensityMatrix,
     Effect,
     Measurement,
-    ThresholdEffect,
     accept_prob,
     collapse,
     leaf_effect,
@@ -74,6 +81,9 @@ class CopySource:
         self.rng = rng
         self.ledger = CopyLedger(budget=budget)
         self.dim_cap = dim_cap
+        # fresh mode's per-unit acceptance by id(measurement); an entry holds
+        # its measurement, so the id cannot be reused while the source lives
+        self._unit_probs: dict[int, tuple[Measurement, float]] = {}
 
     @property
     def dim(self) -> int:
@@ -137,11 +147,19 @@ class StatisticalBatch(CopyBatch):
 
     No state is tracked, so repeated measurements of the same copies are
     independent draws; back-action is idealized away by construction.
+
+    Every probability is read through the source's memo: with no tracked
+    state, an immutable hidden state and frozen measurements, a measurement's
+    acceptance is computed once per source. The memo changes no draw.
     """
 
     def _unit_prob(self, m: Measurement) -> float:
-        v = accept_prob(leaf_effect(m), self.source._true_state)
-        return threshold_accept_prob(m, v)
+        memo = self.source._unit_probs
+        entry = memo.get(id(m))
+        if entry is None:
+            v = accept_prob(leaf_effect(m), self.source._true_state)
+            entry = memo[id(m)] = (m, threshold_accept_prob(m, v))
+        return entry[1]
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
@@ -153,8 +171,7 @@ class StatisticalBatch(CopyBatch):
         return self.source.rng.random(n_units) < p
 
     def measure_count(self, e: Effect) -> int:
-        v = accept_prob(e, self.source._true_state)
-        return int(self.source.rng.binomial(self.n_copies, v))
+        return int(self.source.rng.binomial(self.n_copies, self._unit_prob(e)))
 
 
 class PerCopyBatch(CopyBatch):

@@ -34,13 +34,11 @@ from .ledger import CopyBatch, CopySource, require_mode
 from .modes import FidelityMode
 from .quantum import (
     DensityMatrix,
-    Effect,
     Measurement,
     ThresholdEffect,
     collapse,
     materialize_threshold,
     unit_width,
-    zero_effect,
 )
 from . import linalg
 
@@ -254,7 +252,7 @@ def or_bound_decide(
     accept_count = 0
     for _ in range(rounds):
         batch = rho_source.dispense(ell * w, phase)
-        if _inner_or_round(batch, amplified, mode, rho_source, ell, w):
+        if _inner_or_round(batch, amplified, mode, rho_source):
             accept_count += 1
 
     case = "case_i" if 16 * accept_count >= rounds else "case_ii"
@@ -266,8 +264,6 @@ def _inner_or_round(
     amplified: list[ThresholdEffect | None],
     mode: FidelityMode,
     source: CopySource,
-    ell: int,
-    w: int,
 ) -> bool:
     if mode is not FidelityMode.EXACT_TENSOR:
         # Sequential collective thresholds on the block. Fresh-copy batches

@@ -19,7 +19,7 @@ cutoff is pushed past a boundary and must never accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Union
 
 import numpy as np
@@ -89,12 +89,16 @@ class ThresholdEffect:
     valid thresholds 0..registers+1 (registers+1 never accepts).
     direction "at_most": accept when #accepting registers <= threshold,
     valid thresholds -1..registers (-1 never accepts).
+
+    `width` is the number of base copies one application consumes, fixed at
+    construction so `unit_width` is O(1) at any nesting depth.
     """
 
     base: Measurement
     registers: int
     threshold: int
     direction: Direction
+    width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.registers < 1:
@@ -107,6 +111,7 @@ class ThresholdEffect:
                 f"threshold {self.threshold} outside [{lo}, {hi}] for {self.direction} "
                 f"over {self.registers} registers"
             )
+        object.__setattr__(self, "width", self.registers * unit_width(self.base))
 
     @property
     def base_dim(self) -> int:
@@ -125,9 +130,7 @@ class ThresholdEffect:
 
 def unit_width(m: Measurement) -> int:
     """Number of base copies one application of `m` consumes."""
-    if isinstance(m, Effect):
-        return 1
-    return m.registers * unit_width(m.base)
+    return 1 if isinstance(m, Effect) else m.width
 
 
 def leaf_effect(m: Measurement) -> Effect:

@@ -352,7 +352,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int):
             source.ledger.consumed, params.k_pred, 1.0, False, params.t_bound,
         )
         extras.update(
-            {"error": f"{type(exc).__name__}: {exc}", "markov_ok": True, "t_ok": False,
+            {"error": f"{type(exc).__name__}: {exc}", "t_ok": False,
              "ledger_ok": source.ledger.consumed <= params.k_pred}
         )
         return row, extras
@@ -516,20 +516,23 @@ def _check_search(cfg, rows, extras):
 
 def _check_shadow(cfg, rows, extras):
     rate = sum(1 for r in rows if r.success) / len(rows)
-    markov = all(x["markov_ok"] for x in extras)
+    # a trial that raised has no transcript, so only checked trials vote
+    markov = all(x["markov_ok"] for x in extras if "error" not in x)
     t_ok = all(x["t_ok"] for x in extras)
     ledger_ok = all(x["ledger_ok"] for r, x in zip(rows, extras) if r.success)
     need = 2.0 / 3.0
-    return (
-        {
-            "success_rate_required": need,
-            "success_rate": rate,
-            "markov_all_steps": markov,
-            "iteration_bound_respected": t_ok,
-            "ledger_within_prediction": ledger_ok,
-        },
-        rate >= need and markov and t_ok and ledger_ok,
-    )
+    info = {
+        "success_rate_required": need,
+        "success_rate": rate,
+        "markov_all_steps": markov,
+        "iteration_bound_respected": t_ok,
+        "ledger_within_prediction": ledger_ok,
+    }
+    errors = [f"trial {r.trial}: {x['error']}" for r, x in zip(rows, extras) if "error" in x]
+    if errors:
+        info["trials_unchecked"] = len(errors)
+        info["errors"] = errors
+    return info, rate >= need and markov and t_ok and ledger_ok
 
 
 def _check_rate_one_minus_delta(cfg, rows, extras):

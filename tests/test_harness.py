@@ -335,6 +335,28 @@ def test_shadow_budget_exhaustion_raises_and_exits_3(tmp_path, capsys):
     assert "BudgetExhaustedError" in capsys.readouterr().err
 
 
+def test_iteration_bound_failure_names_its_reason(tmp_path, capsys):
+    # c_t=0.001 caps the search count at 1, so both trials raise
+    # IterationBoundExceededError and no transcript is ever checked
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(CONFIGS / "shadow-quick.cfg"), "--set", "trials=2",
+         "--set", "c_t=0.001", "--out-dir", str(out)]
+    )
+    assert code == 1
+    printed = capsys.readouterr().out
+    assert "trials_unchecked: 2" in printed
+    assert "trial 0: IterationBoundExceededError: " in printed
+    thresholds = json.loads((out / "summary.json").read_text())["thresholds"]
+    assert thresholds["trials_unchecked"] == 2
+    assert [e.split(":")[0] for e in thresholds["errors"]] == ["trial 0", "trial 1"]
+    assert all("IterationBoundExceededError: " in e for e in thresholds["errors"])
+    cfg = resolve(build_config({**scenarios.load_config_pairs(CONFIGS / "shadow-quick.cfg"),
+                                "c_t": "0.001"}))
+    _, extras = run_trial(cfg, 0)
+    assert "error" in extras and "markov_ok" not in extras
+
+
 def test_money_true_key_check_reads_the_minted_key(monkeypatch):
     def fake_run(effects, source, params, mode):
         truth = np.array([source.ground_truth_accept_prob(e) for e in effects])

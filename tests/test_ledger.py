@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowtomo.errors import BudgetExhaustedError, ModeUnsupportedError
 from shadowtomo.instances import random_density, random_effect, random_projector
@@ -14,7 +15,16 @@ from shadowtomo.ledger import (
     require_mode,
 )
 from shadowtomo.modes import FidelityMode
-from shadowtomo.quantum import DensityMatrix, Effect, ThresholdEffect, accept_prob
+from shadowtomo.quantum import (
+    DIRECTIONS,
+    DensityMatrix,
+    Effect,
+    ThresholdEffect,
+    accept_prob,
+    leaf_effect,
+    threshold_accept_prob,
+    unit_width,
+)
 from shadowtomo.rng import substream
 
 
@@ -106,6 +116,77 @@ def test_statistical_units_match_threshold_probability():
     assert outs.shape == (4000,)
     p = src.ground_truth_accept_prob(te)
     assert abs(outs.mean() - p) < 0.04
+
+
+@st.composite
+def threshold_level(draw):
+    """(registers, threshold, direction) of one valid level, sentinels included."""
+    n = draw(st.integers(1, 3))
+    direction = draw(st.sampled_from(DIRECTIONS))
+    lo, hi = (0, n + 1) if direction == "at_least" else (-1, n)
+    return n, draw(st.integers(lo, hi)), direction
+
+
+def nest(base, levels):
+    m = base
+    for n, t, direction in levels:
+        m = ThresholdEffect(m, n, t, direction)
+    return m
+
+
+# one step of a fresh-mode schedule: which measurement, whether to use its
+# equal-valued twin, how to measure it, and a unit count
+_STEP = st.tuples(
+    st.integers(0, 3),
+    st.booleans(),
+    st.sampled_from(("collective", "units", "count", "throwaway")),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**16),
+    st.lists(st.lists(threshold_level(), max_size=2), min_size=1, max_size=4),
+    st.lists(_STEP, min_size=1, max_size=40),
+)
+def test_statistical_memo_draws_match_unmemoized_reference(seed, specs, steps):
+    # Each measurement object is reused across many dispenses, interleaved
+    # with a distinct object of equal value and with throwaway objects whose
+    # ids Python may recycle. A twin substream replays every draw at the
+    # probability computed anew; the memoized outcomes must match.
+    rng = substream(seed, 0)
+    rho = random_density(2, rng)
+    # measurements i and i + 2 share a leaf effect but not their thresholds
+    leaves = [random_effect(2, rng) for _ in range(2)]
+    objs = [
+        (nest(leaves[i % 2], levels), nest(Effect(leaves[i % 2].mat), levels))
+        for i, levels in enumerate(specs)
+    ]
+    src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
+    ref = substream(seed, 1)
+    consumed = 0
+    for which, twin, op, units in steps:
+        levels = specs[which % len(specs)]
+        if op == "throwaway":
+            m = nest(random_effect(2, rng), levels)
+        else:
+            m = objs[which % len(objs)][twin]
+        p = threshold_accept_prob(m, accept_prob(leaf_effect(m), rho))
+        if op == "units":
+            got = src.dispense(units * unit_width(m), "x").measure_units(m)
+            np.testing.assert_array_equal(got, ref.random(units) < p)
+            consumed += units * unit_width(m)
+        elif op == "count":
+            e = leaf_effect(m)
+            got = src.dispense(units, "x").measure_count(e)
+            assert got == int(ref.binomial(units, accept_prob(e, rho)))
+            consumed += units
+        else:
+            got = src.dispense(unit_width(m), "x").measure_collective(m)
+            assert got == bool(ref.random() < p)
+            consumed += unit_width(m)
+    assert src.ledger.consumed == consumed
 
 
 def test_exact_batch_collective_probability_is_exact():

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowtomo.errors import DegenerateBranchError, DimensionMismatchError
 from shadowtomo.instances import random_density, random_effect
 from shadowtomo.linalg import tensor_power
 from shadowtomo.quantum import (
+    DIRECTIONS,
     DensityMatrix,
     Effect,
     ThresholdEffect,
@@ -165,6 +167,45 @@ def test_unit_width_and_leaf():
     assert unit_width(te) == 3
     assert unit_width(nested) == 6
     assert leaf_effect(nested) is e
+
+
+@st.composite
+def threshold_level(draw, registers=st.integers(1, 3)):
+    """(registers, threshold, direction) of one valid level, sentinels included."""
+    n = draw(registers)
+    direction = draw(st.sampled_from(DIRECTIONS))
+    lo, hi = (0, n + 1) if direction == "at_least" else (-1, n)
+    return n, draw(st.integers(lo, hi)), direction
+
+
+def nest(base, levels):
+    m = base
+    for n, t, direction in levels:
+        m = ThresholdEffect(m, n, t, direction)
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(threshold_level(st.integers(1, 6)), max_size=6))
+def test_unit_width_is_registers_times_base_width_at_any_depth(levels):
+    m = nest(identity_effect(2), levels)
+    assert unit_width(m) == math.prod(n for n, _, _ in levels)
+    if levels:
+        assert unit_width(m) == m.registers * unit_width(m.base)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**16), threshold_level(), threshold_level())
+def test_nested_threshold_accept_prob_matches_dense_operator(seed, inner, outer):
+    # the fresh-mode memo relies on threshold_accept_prob being exact on
+    # product states at every nesting depth, not only for flat thresholds
+    rng = substream(seed, 0)
+    base = random_effect(2, rng)
+    rho = random_density(2, rng)
+    m = nest(base, [inner, outer])
+    joint = DensityMatrix(tensor_power(rho.mat, unit_width(m)), atol=1e-8)
+    exact = accept_prob(materialize_threshold(m), joint)
+    assert abs(threshold_accept_prob(m, accept_prob(base, rho)) - exact) < 1e-8
 
 
 def test_threshold_effect_rejects_bad_threshold():
