@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_DIM_CAP
-from .errors import BudgetExhaustedError, DimensionCapError, DimensionMismatchError, ModeUnsupportedError
+from .errors import BudgetExhaustedError, DimensionCapError, DimensionMismatchError
 from .modes import FidelityMode
 from .quantum import (
     DensityMatrix,
@@ -66,12 +66,16 @@ class CopyLedger:
 
 
 class CopySource:
-    """Dispenses copies of a hidden state in a chosen fidelity mode."""
+    """Dispenses copies of a hidden state in a chosen fidelity mode.
+
+    `mode` is a FidelityMode or its string value. It is the only place the
+    mode is set: algorithms that draw from a source read `source.mode`.
+    """
 
     def __init__(
         self,
         true_state: DensityMatrix,
-        mode: FidelityMode,
+        mode: str,
         rng: np.random.Generator,
         budget: int | None = None,
         dim_cap: int = DEFAULT_DIM_CAP,
@@ -311,8 +315,3 @@ class ExactBatch(CopyBatch):
             count += int(accept)
         return count
 
-
-def require_mode(mode: FidelityMode, allowed: tuple[FidelityMode, ...], op: str) -> None:
-    if FidelityMode(mode) not in allowed:
-        names = ", ".join(m.value for m in allowed)
-        raise ModeUnsupportedError(f"{op} requires one of: {names}")

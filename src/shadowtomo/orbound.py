@@ -3,13 +3,18 @@ noticeably elevated probability, using few copies.
 
 Two single-copy OR testers are provided. The control-qubit tester entangles
 an ancilla prepared in (|0> + |1>)/sqrt(2) with the state, applies each
-effect conditioned on the ancilla being |1>, and periodically checks the
-ancilla in the +/- basis: a rejected conditional measurement that still
+effect conditioned on the ancilla being |1>, and checks the ancilla in the
++/- basis after each one: a rejected conditional measurement that still
 dephased the ancilla is itself evidence that some effect fires. Its
 completeness/soundness constants are what the amplified decision procedure
-below relies on. The random-order tester simply shuffles the effects and
-applies them in sequence with collapse; it is exposed for experiments only
-and carries no soundness contract here.
+below relies on; controlled_or_accept_prob computes its exact acceptance
+for reference. The random-order tester draws one copy from a CopySource,
+shuffles the effects and applies them in sequence to that copy, which
+collapses as far as the source's fidelity mode tracks it; it is exposed for
+experiments only and carries no soundness contract here.
+
+No function here takes a fidelity mode: the CopySource is built with one,
+and the OR rounds read it from there.
 
 or_bound_decide amplifies the separation: each candidate effect is lifted to
 a count-threshold over ell fresh registers, the inner OR test runs once per
@@ -30,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP, Constants
 from .errors import DimensionCapError, DimensionMismatchError
-from .ledger import CopyBatch, CopySource, require_mode
+from .ledger import CopyBatch, CopySource
 from .modes import FidelityMode
 from .quantum import (
     DensityMatrix,
@@ -76,13 +81,6 @@ class OrBoundParams:
 
 
 @dataclass(frozen=True)
-class OrTestResult:
-    accepted: bool
-    exact_accept_prob: float | None
-    post_state: DensityMatrix | None
-
-
-@dataclass(frozen=True)
 class OrDecision:
     case: str  # "case_i" | "case_ii"
     accept_count: int
@@ -102,31 +100,11 @@ _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
 _ONE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
-def controlled_or_test(
-    effects: list[Measurement],
-    rho: DensityMatrix,
-    mode: FidelityMode,
-    rng: np.random.Generator,
-    control_check_every: int = 1,
-    cap: int = DEFAULT_DIM_CAP,
-) -> OrTestResult:
-    """Single-copy OR test with a control qubit.
-
-    Accepts when some conditional measurement accepts or a +/- check finds
-    the control decohered. In exact_tensor mode the exact acceptance
-    probability is also computed (deterministically, via the unnormalized
-    all-reject branch) alongside the sampled outcome. Not defined for
-    fresh_copy_statistical, which cannot represent the control's coherence.
-    """
-    mode = FidelityMode(mode)
-    require_mode(
-        mode,
-        (FidelityMode.EXACT_TENSOR, FidelityMode.PER_COPY_COLLAPSE),
-        "controlled_or_test",
-    )
-    if control_check_every < 1:
-        raise ValueError("control_check_every must be >= 1")
-    dim = rho.dim
+def _conditional_ops(
+    effects: list[Measurement], dim: int, cap: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each effect conditioned on the control being |1>, and the projector
+    onto the control's |+> state, all on the control-extended space."""
     if 2 * dim > cap:
         raise DimensionCapError(2 * dim, cap, "control-extended state")
     ops = []
@@ -134,49 +112,61 @@ def controlled_or_test(
         op = _as_operator(m, cap)
         if op.shape[0] != dim:
             raise DimensionMismatchError("effect dimension does not match the state")
-        ops.append(op)
+        ops.append(np.kron(_ONE, op))
+    return ops, np.kron(_PLUS, np.eye(dim))
 
-    ident = np.eye(dim)
-    plus_proj = np.kron(_PLUS, ident)
 
-    def conditional(op: np.ndarray) -> np.ndarray:
-        return np.kron(_ONE, op)
+def controlled_or_test(
+    effects: list[Measurement],
+    rho: DensityMatrix,
+    rng: np.random.Generator,
+    cap: int = DEFAULT_DIM_CAP,
+) -> tuple[bool, DensityMatrix]:
+    """Single-copy OR test with a control qubit; returns (accepted, post
+    state of the register with the control traced out).
 
-    exact_prob = None
-    if mode is FidelityMode.EXACT_TENSOR:
-        # Unnormalized survival walk: reject every conditional measurement and
-        # observe + at every control check. Acceptance = 1 - final trace.
-        surv = np.kron(_PLUS, rho.mat)
-        for i, op in enumerate(ops):
-            a = conditional(op)
-            k = linalg.herm_sqrt(np.eye(2 * dim) - a)
-            surv = k @ surv @ k
-            if (i + 1) % control_check_every == 0 or i == len(ops) - 1:
-                surv = plus_proj @ surv @ plus_proj
-        exact_prob = 1.0 - float(np.real(np.trace(surv)))
-        exact_prob = min(1.0, max(0.0, exact_prob))
-
-    # Sampled trajectory.
+    Accepts when some conditional measurement accepts or a +/- check after
+    it finds the control decohered.
+    """
+    dim = rho.dim
+    ops, plus_proj = _conditional_ops(effects, dim, cap)
     state = np.kron(_PLUS, rho.mat)
     accepted = False
-    for i, op in enumerate(ops):
-        a = conditional(op)
+    for a in ops:
         p_acc = min(1.0, max(0.0, float(np.real(np.trace(a @ state)))))
         if rng.random() < p_acc:
             _, state = collapse(state, a, True)
             accepted = True
             break
         _, state = collapse(state, a, False)
-        if (i + 1) % control_check_every == 0 or i == len(ops) - 1:
-            p_plus = min(1.0, max(0.0, float(np.real(np.trace(plus_proj @ state)))))
-            if rng.random() >= p_plus:
-                _, state = collapse(state, np.eye(2 * dim) - plus_proj, True)
-                accepted = True
-                break
-            _, state = collapse(state, plus_proj, True)
+        p_plus = min(1.0, max(0.0, float(np.real(np.trace(plus_proj @ state)))))
+        if rng.random() >= p_plus:
+            _, state = collapse(state, np.eye(2 * dim) - plus_proj, True)
+            accepted = True
+            break
+        _, state = collapse(state, plus_proj, True)
 
     post = DensityMatrix(_trace_out_control(state, dim), atol=1e-6)
-    return OrTestResult(accepted, exact_prob, post)
+    return accepted, post
+
+
+def controlled_or_accept_prob(
+    effects: list[Measurement], rho: DensityMatrix, cap: int = DEFAULT_DIM_CAP
+) -> float:
+    """Exact acceptance probability of controlled_or_test, the reference its
+    sampled outcomes are checked against.
+
+    Unnormalized survival walk: reject every conditional measurement and
+    observe + at every control check. Acceptance = 1 - final trace.
+    """
+    dim = rho.dim
+    ops, plus_proj = _conditional_ops(effects, dim, cap)
+    surv = np.kron(_PLUS, rho.mat)
+    for a in ops:
+        k = linalg.herm_sqrt(np.eye(2 * dim) - a)
+        surv = k @ surv @ k
+        surv = plus_proj @ surv @ plus_proj
+    return min(1.0, max(0.0, 1.0 - float(np.real(np.trace(surv)))))
 
 
 def _trace_out_control(joint: np.ndarray, dim: int) -> np.ndarray:
@@ -184,34 +174,14 @@ def _trace_out_control(joint: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("aiaj->ij", t)
 
 
-def random_order_or_test(
-    effects: list[Measurement],
-    rho: DensityMatrix,
-    mode: FidelityMode,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_DIM_CAP,
-) -> bool:
-    """Shuffle the effects, apply them in sequence with collapse, accept if
-    any accepts. Exploratory: no acceptance contract is attached."""
-    mode = FidelityMode(mode)
-    order = rng.permutation(len(effects))
-    if mode is FidelityMode.FRESH_COPY_STATISTICAL:
-        # damage-free idealization: independent draws at single-copy statistics
-        from .quantum import accept_prob, leaf_effect, threshold_accept_prob
-
-        for j in order:
-            p = threshold_accept_prob(effects[j], accept_prob(leaf_effect(effects[j]), rho))
-            if rng.random() < p:
-                return True
-        return False
-    state = np.asarray(rho.mat).copy()
-    for j in order:
-        op = _as_operator(effects[j], cap)
-        p = min(1.0, max(0.0, float(np.real(np.trace(op @ state)))))
-        if rng.random() < p:
-            return True
-        _, state = collapse(state, op, False)
-    return False
+def random_order_or_test(effects: list[Measurement], rho_source: CopySource) -> bool:
+    """Shuffle the single-copy effects and apply them in sequence to one
+    dispensed copy, accepting if any accepts. The copy collapses as far as
+    the source's mode tracks it. Exploratory: no acceptance contract is
+    attached."""
+    order = rho_source.rng.permutation(len(effects))
+    batch = rho_source.dispense(1, "random-order")
+    return any(batch.measure_collective(effects[j]) for j in order)
 
 
 def _amplified(m: Measurement, ell: int, threshold: int) -> ThresholdEffect:
@@ -222,7 +192,6 @@ def or_bound_decide(
     effects: list[Measurement | None],
     rho_source: CopySource,
     params: OrBoundParams,
-    mode: FidelityMode,
     phase: str = "or-rounds",
 ) -> OrDecision:
     """Decide whether some effect accepts with probability >= c (case_i) or
@@ -232,7 +201,6 @@ def or_bound_decide(
     test runs once on it; `None` entries are padding that never accepts and is
     never selected. Consumes exactly ell * rounds * unit_width copies.
     """
-    mode = FidelityMode(mode)
     live = [m for m in effects if m is not None]
     if not live:
         raise ValueError("need at least one real effect")
@@ -252,20 +220,16 @@ def or_bound_decide(
     accept_count = 0
     for _ in range(rounds):
         batch = rho_source.dispense(ell * w, phase)
-        if _inner_or_round(batch, amplified, mode, rho_source):
+        if _inner_or_round(batch, amplified):
             accept_count += 1
 
     case = "case_i" if 16 * accept_count >= rounds else "case_ii"
     return OrDecision(case, accept_count, rounds, ell, threshold, ell * w * rounds)
 
 
-def _inner_or_round(
-    batch: CopyBatch,
-    amplified: list[ThresholdEffect | None],
-    mode: FidelityMode,
-    source: CopySource,
-) -> bool:
-    if mode is not FidelityMode.EXACT_TENSOR:
+def _inner_or_round(batch: CopyBatch, amplified: list[ThresholdEffect | None]) -> bool:
+    source = batch.source
+    if source.mode is not FidelityMode.EXACT_TENSOR:
         # Sequential collective thresholds on the block. Fresh-copy batches
         # sample each candidate independently at its exact product
         # acceptance; per-copy batches collapse, so earlier rejections damage
@@ -277,6 +241,6 @@ def _inner_or_round(
     # exact_tensor: control-qubit OR test on the materialized joint block.
     joint = batch.as_density_matrix()
     live = [m for m in amplified if m is not None]
-    result = controlled_or_test(live, joint, mode, source.rng, cap=source.dim_cap)
-    batch.set_state(result.post_state)
-    return result.accepted
+    accepted, post = controlled_or_test(live, joint, source.rng, cap=source.dim_cap)
+    batch.set_state(post)
+    return accepted

@@ -41,7 +41,7 @@ from .modes import FidelityMode
 from .money import make_wiesner_instance
 from .orbound import OrBoundParams, or_bound_decide, random_order_or_test
 from .quantum import accept_prob, apply_effect, sequential_accept_all
-from .results import TrialRow, aggregate, write_csv, write_json
+from .results import TrialRow, aggregate, success_rate, write_csv, write_json
 from .rng import substream
 from .search import SearchParams, gentle_search, search_copy_bound
 from .shadow import (
@@ -257,7 +257,7 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int):
     params = OrBoundParams(
         c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta, constants=cfg.constants()
     )
-    decision = or_bound_decide(list(inst.effects), source, params, FidelityMode(cfg.mode))
+    decision = or_bound_decide(list(inst.effects), source, params)
     predicted = decision.ell * decision.rounds
     success = decision.case == truth
     row = TrialRow(
@@ -276,12 +276,11 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int):
 def _trial_random_order(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     inst = or_promise_instance(cfg.d, cfg.m, cfg.planted_value, cfg.low_cap, rng)
-    accepted = random_order_or_test(
-        list(inst.effects), inst.rho, FidelityMode(cfg.mode), rng
-    )
+    source = _source(cfg, inst.rho, rng)
+    accepted = random_order_or_test(list(inst.effects), source)
     row = TrialRow(
         cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
-        1, 1, 0.0 if accepted else 1.0, accepted, 1,
+        source.ledger.consumed, 1, 0.0 if accepted else 1.0, accepted, 1,
     )
     return row, {"accepted": accepted}
 
@@ -293,7 +292,7 @@ def _trial_search(cfg: ScenarioConfig, trial: int):
     sp = SearchParams(
         c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta, constants=cfg.constants()
     )
-    res = gentle_search(list(inst.effects), source, sp, FidelityMode(cfg.mode))
+    res = gentle_search(list(inst.effects), source, sp)
     bound = search_copy_bound(cfg.m, cfg.epsilon, cfg.delta, cfg.constants())
     floor_bar = cfg.c - cfg.epsilon
     if res.found:
@@ -345,7 +344,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int):
     source = _source(cfg, inst.rho, rng)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
     try:
-        run = run_shadow_tomography(list(inst.effects), source, params, FidelityMode(cfg.mode))
+        run = run_shadow_tomography(list(inst.effects), source, params)
     except IterationBoundExceededError as exc:
         row = TrialRow(
             cfg.scenario, trial, cfg.seed, d, m, cfg.epsilon, cfg.delta, cfg.mode,
@@ -406,8 +405,7 @@ def _trial_gap(cfg: ScenarioConfig, trial: int):
     inst, cutoffs = diagonal_gap_instance(cfg.d, cfg.m, cfg.epsilon, rng)
     source = _source(cfg, inst.rho, rng)
     decisions = run_promise_gap(
-        list(inst.effects), cutoffs, cfg.epsilon, cfg.delta, source,
-        FidelityMode(cfg.mode), cfg.constants(),
+        list(inst.effects), cutoffs, cfg.epsilon, cfg.delta, source, cfg.constants(),
     )
     sides = inst.metadata["sides"]
     wrong = sum(1 for got, want in zip(decisions, sides) if got != want)
@@ -486,12 +484,12 @@ def _trial_hlw(cfg: ScenarioConfig, trial: int):
 
 
 def _check_verify(cfg, rows, extras):
-    rate = sum(1 for r in rows if r.success) / len(rows)
+    rate = success_rate(rows)
     return {"success_rate_required": 1.0, "success_rate": rate}, rate == 1.0
 
 
 def _check_orbound(cfg, rows, extras):
-    rate = sum(1 for r in rows if r.success) / len(rows)
+    rate = success_rate(rows)
     exact = all(x["exact_consumption"] for x in extras)
     need = 1.0 - cfg.delta
     return (
@@ -501,12 +499,12 @@ def _check_orbound(cfg, rows, extras):
 
 
 def _check_exploratory(cfg, rows, extras):
-    rate = sum(1 for r in rows if r.success) / len(rows)
+    rate = success_rate(rows)
     return {"success_rate": rate, "exploratory": True}, True
 
 
 def _check_search(cfg, rows, extras):
-    rate = sum(1 for r in rows if r.success) / len(rows)
+    rate = success_rate(rows)
     within = all(x["within_bound"] for x in extras)
     return (
         {"success_rate_required": 0.9, "success_rate": rate, "all_within_copy_bound": within},
@@ -515,7 +513,7 @@ def _check_search(cfg, rows, extras):
 
 
 def _check_shadow(cfg, rows, extras):
-    rate = sum(1 for r in rows if r.success) / len(rows)
+    rate = success_rate(rows)
     # a trial that raised has no transcript, so only checked trials vote
     markov = all(x["markov_ok"] for x in extras if "error" not in x)
     t_ok = all(x["t_ok"] for x in extras)
@@ -536,7 +534,7 @@ def _check_shadow(cfg, rows, extras):
 
 
 def _check_rate_one_minus_delta(cfg, rows, extras):
-    rate = sum(1 for r in rows if r.success) / len(rows)
+    rate = success_rate(rows)
     need = 1.0 - cfg.delta
     return {"success_rate_required": need, "success_rate": rate}, rate >= need
 

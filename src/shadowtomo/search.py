@@ -26,7 +26,6 @@ import numpy as np
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DimensionMismatchError
 from .ledger import CopySource
-from .modes import FidelityMode
 from .orbound import OrBoundParams, or_bound_decide
 from .quantum import Measurement, unit_width
 
@@ -97,7 +96,6 @@ def verify_candidate(
     bar: float,
     gap: float,
     beta: float,
-    mode: FidelityMode,
     phase: str = "verification",
 ) -> tuple[bool, float]:
     """Estimate the effect's acceptance over fresh unit applications;
@@ -153,7 +151,6 @@ def gentle_search(
     effects: list[Measurement | None],
     rho_source: CopySource,
     params: SearchParams,
-    mode: FidelityMode,
     phase: str = "search",
 ) -> SearchResult:
     """Find an index whose acceptance is >= c - eps, assuming some index
@@ -163,7 +160,6 @@ def gentle_search(
     not-found without verification. The returned index refers to the input
     list. Every level and the verification draw fresh copies.
     """
-    mode = FidelityMode(mode)
     live = [m for m in effects if m is not None]
     if not live:
         raise ValueError("need at least one real candidate")
@@ -189,7 +185,7 @@ def gentle_search(
             case = "case_ii"
         else:
             or_params = OrBoundParams(c=bar, epsilon=alpha, delta=beta, constants=params.constants)
-            case = or_bound_decide(first, rho_source, or_params, mode, phase=phase + "-or").case
+            case = or_bound_decide(first, rho_source, or_params, phase=phase + "-or").case
         if case == "case_i":
             window = first
         else:
@@ -200,8 +196,6 @@ def gentle_search(
         consumed = rho_source.ledger.consumed - consumed_before
         return SearchResult(False, None, tuple(bars), consumed, 0.0)
 
-    ok, mean = verify_candidate(
-        candidate, rho_source, bar_final, gap, beta, mode, phase + "-verify"
-    )
+    ok, mean = verify_candidate(candidate, rho_source, bar_final, gap, beta, phase + "-verify")
     consumed = rho_source.ledger.consumed - consumed_before
     return SearchResult(ok, offset if ok else None, tuple(bars), consumed, mean)

@@ -328,7 +328,6 @@ def run_shadow_tomography(
     effects: list[Effect],
     rho_source: CopySource,
     params: ShadowParams,
-    mode: FidelityMode,
 ) -> ShadowRun:
     """Estimate Tr(E_i rho) for every target effect to within epsilon.
 
@@ -338,7 +337,6 @@ def run_shadow_tomography(
     (underestimate, -). Runs at most t_bound searches; needing more is an
     operating-point mismatch and raises.
     """
-    mode = FidelityMode(mode)
     if not effects:
         raise ValueError("need at least one target effect")
     if len(effects) != params.m:
@@ -359,7 +357,7 @@ def run_shadow_tomography(
             plus, minus = build_refinement_effects(e, v, params)
             candidates.append(plus)
             candidates.append(minus)
-        found = gentle_search(candidates, rho_source, sp, mode, phase="search")
+        found = gentle_search(candidates, rho_source, sp, phase="search")
         if not found.found:
             transcript = Transcript(tuple(steps), "no deviation detector confirmed", len(steps))
             consumed = rho_source.ledger.consumed - consumed_before
@@ -400,7 +398,6 @@ def run_promise_gap(
     epsilon: float,
     delta: float,
     rho_source: CopySource,
-    mode: FidelityMode,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[str]:
     """Decide Tr(E_i rho) >= c_i versus <= c_i - eps for every i, reusing
@@ -410,10 +407,9 @@ def run_promise_gap(
     ceil((c_i - eps/2) k) to the same block; assuming the promise, each
     measurement is near-certain, so the sequence is gentle and all M
     answers are simultaneously correct with probability >= 1 - delta.
-    Requires a mode that tracks collapse across measurements.
+    Requires a source whose mode tracks collapse across measurements.
     """
-    mode = FidelityMode(mode)
-    if mode is FidelityMode.FRESH_COPY_STATISTICAL:
+    if rho_source.mode is FidelityMode.FRESH_COPY_STATISTICAL:
         raise ModeUnsupportedError(
             "the promise-gap procedure reuses damaged copies; use per-copy or exact mode"
         )

@@ -20,8 +20,7 @@ from shadowtomo.hardness import (
 )
 from shadowtomo.instances import near_certain_effect, random_density, random_effect
 from shadowtomo.linalg import tensor_power, trace_distance
-from shadowtomo.modes import FidelityMode
-from shadowtomo.orbound import controlled_or_test
+from shadowtomo.orbound import controlled_or_accept_prob
 from shadowtomo.quantum import (
     DensityMatrix,
     Effect,
@@ -126,8 +125,7 @@ def test_controlled_or_acceptance_bounds():
             effects.append(materialize_threshold(ThresholdEffect(random_effect(2, rng), ell, t, "at_least")))
         ps = [accept_prob(e, joint) for e in effects]
         eps_inst = 1.0 - max(ps)
-        res = controlled_or_test(effects, joint, FidelityMode.EXACT_TENSOR, substream(1005, s))
-        assert res.exact_accept_prob >= (1.0 - eps_inst) ** 2 / 7.0 - 1e-12
+        assert controlled_or_accept_prob(effects, joint) >= (1.0 - eps_inst) ** 2 / 7.0 - 1e-12
     # case (ii): everything accepts rarely -> accept prob <= 4 * Delta * M
     for s in range(50):
         rng = substream(1006, s)
@@ -142,8 +140,7 @@ def test_controlled_or_acceptance_bounds():
             effects.append(materialize_threshold(ThresholdEffect(weak, ell, t, "at_least")))
         ps = [accept_prob(e, joint) for e in effects]
         assert max(ps) <= 0.5  # stays in the all-low regime
-        res = controlled_or_test(effects, joint, FidelityMode.EXACT_TENSOR, substream(1007, s))
-        assert res.exact_accept_prob <= 4.0 * sum(ps) + 1e-12
+        assert controlled_or_accept_prob(effects, joint) <= 4.0 * sum(ps) + 1e-12
     print("PASS controlled OR bounds: 50+50 constructed instances, both sides, 100%")
 
 

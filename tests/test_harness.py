@@ -23,7 +23,6 @@ from shadowtomo.scenarios import (
     SCENARIOS,
     ScenarioConfig,
     build_config,
-    load_config,
     parse_config_text,
     resolve,
     run_scenario,
@@ -358,7 +357,7 @@ def test_iteration_bound_failure_names_its_reason(tmp_path, capsys):
 
 
 def test_money_true_key_check_reads_the_minted_key(monkeypatch):
-    def fake_run(effects, source, params, mode):
+    def fake_run(effects, source, params):
         truth = np.array([source.ground_truth_accept_prob(e) for e in effects])
         estimates = truth.copy()
         # the minted key accepts with certainty, so the least-accepted key is another one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowtomo.errors import BudgetExhaustedError, ModeUnsupportedError
+from shadowtomo.errors import BudgetExhaustedError
 from shadowtomo.instances import random_density, random_effect, random_projector
 from shadowtomo.ledger import (
     CopyLedger,
@@ -12,7 +12,6 @@ from shadowtomo.ledger import (
     ExactBatch,
     PerCopyBatch,
     StatisticalBatch,
-    require_mode,
 )
 from shadowtomo.modes import FidelityMode
 from shadowtomo.quantum import (
@@ -214,14 +213,3 @@ def test_exact_batch_zero_copies_guard():
     batch = src.dispense(0, "x")
     assert batch.n_copies == 0
 
-
-def test_require_mode_raises_on_disallowed():
-    with pytest.raises(ModeUnsupportedError):
-        require_mode(
-            FidelityMode.FRESH_COPY_STATISTICAL,
-            (FidelityMode.EXACT_TENSOR,),
-            "some op",
-        )
-    require_mode(
-        FidelityMode.EXACT_TENSOR, (FidelityMode.EXACT_TENSOR,), "some op"
-    )

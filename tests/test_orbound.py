@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from shadowtomo.errors import ModeUnsupportedError
+from shadowtomo import orbound
 from shadowtomo.instances import or_promise_instance, random_density, random_effect
 from shadowtomo.ledger import CopySource
 from shadowtomo.linalg import tensor_power
 from shadowtomo.modes import FidelityMode
 from shadowtomo.orbound import (
     OrBoundParams,
+    controlled_or_accept_prob,
     controlled_or_test,
     or_bound_decide,
     random_order_or_test,
@@ -51,40 +52,27 @@ def test_params_validation():
 def test_controlled_or_certain_effect_exact_lower_bound():
     # single effect with Tr(E rho) = 1: accept prob at least 1/7
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    res = controlled_or_test([identity_effect(2)], rho, FidelityMode.EXACT_TENSOR, substream(0, 0))
-    assert res.exact_accept_prob is not None
-    assert res.exact_accept_prob >= 1.0 / 7.0
+    assert controlled_or_accept_prob([identity_effect(2)], rho) >= 1.0 / 7.0
 
 
 def test_controlled_or_all_zero_effects_never_accepts():
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-    res = controlled_or_test(
-        [zero_effect(2), zero_effect(2)], rho, FidelityMode.EXACT_TENSOR, substream(1, 0)
-    )
-    assert res.exact_accept_prob == 0.0
-    assert not res.accepted
-
-
-def test_controlled_or_rejects_fresh_mode():
-    rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-    with pytest.raises(ModeUnsupportedError):
-        controlled_or_test(
-            [identity_effect(2)], rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(2, 0)
-        )
+    effects = [zero_effect(2), zero_effect(2)]
+    assert controlled_or_accept_prob(effects, rho) == 0.0
+    accepted, _ = controlled_or_test(effects, rho, substream(1, 0))
+    assert not accepted
 
 
 def test_controlled_or_monte_carlo_matches_exact_prob():
     rng = substream(3, 0)
     rho = random_density(2, rng)
     effects = [random_effect(2, rng) for _ in range(3)]
-    exact = controlled_or_test(
-        effects, rho, FidelityMode.EXACT_TENSOR, substream(3, 1)
-    ).exact_accept_prob
+    exact = controlled_or_accept_prob(effects, rho)
     runs = 2000
     hits = 0
     for i in range(runs):
-        res = controlled_or_test(effects, rho, FidelityMode.PER_COPY_COLLAPSE, substream(3, i + 2))
-        hits += res.accepted
+        accepted, _ = controlled_or_test(effects, rho, substream(3, i + 2))
+        hits += accepted
     freq = hits / runs
     sigma = math.sqrt(exact * (1.0 - exact) / runs)
     assert abs(freq - exact) <= 3.0 * sigma + 1e-9
@@ -107,19 +95,24 @@ def test_controlled_or_acceptance_bounds_on_random_instances():
                 t = int(rng.integers(1, ell + 1))
                 effects.append(materialize_threshold(ThresholdEffect(e, ell, t, "at_least")))
         ps = [accept_prob(e, joint) for e in effects]
-        res = controlled_or_test(effects, joint, FidelityMode.EXACT_TENSOR, substream(5, s))
-        assert res.exact_accept_prob >= max(ps) ** 2 / 7.0 - 1e-12
-        assert res.exact_accept_prob <= 4.0 * sum(ps) + 1e-12
+        p = controlled_or_accept_prob(effects, joint)
+        assert p >= max(ps) ** 2 / 7.0 - 1e-12
+        assert p <= 4.0 * sum(ps) + 1e-12
 
 
 def test_random_order_all_identity_accepts_all_zero_rejects():
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-    assert random_order_or_test(
-        [identity_effect(2)] * 3, rho, FidelityMode.PER_COPY_COLLAPSE, substream(6, 0)
-    )
-    assert not random_order_or_test(
-        [zero_effect(2)] * 3, rho, FidelityMode.PER_COPY_COLLAPSE, substream(6, 1)
-    )
+    mode = FidelityMode.PER_COPY_COLLAPSE
+    assert random_order_or_test([identity_effect(2)] * 3, CopySource(rho, mode, substream(6, 0)))
+    assert not random_order_or_test([zero_effect(2)] * 3, CopySource(rho, mode, substream(6, 1)))
+
+
+@pytest.mark.parametrize("mode", list(FidelityMode))
+def test_random_order_debits_one_copy_in_every_mode(mode):
+    inst = or_promise_instance(2, 8, 0.9, 0.1, substream(14, 0))
+    src = CopySource(inst.rho, mode, substream(14, 1))
+    random_order_or_test(list(inst.effects), src)
+    assert src.ledger.snapshot()["attribution"] == {"random-order": 1}
 
 
 def test_or_bound_decide_consumes_exactly_ell_times_rounds():
@@ -127,13 +120,32 @@ def test_or_bound_decide_consumes_exactly_ell_times_rounds():
     inst = or_promise_instance(2, 4, 0.95, 0.3, rng)
     params = OrBoundParams(c=0.9, epsilon=0.5, delta=0.1)
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(7, 1))
-    decision = or_bound_decide(list(inst.effects), src, params, FidelityMode.FRESH_COPY_STATISTICAL)
+    decision = or_bound_decide(list(inst.effects), src, params)
     ell = params.derived_ell(4)
     rounds = params.derived_rounds()
     assert decision.ell == ell
     assert decision.rounds == rounds
     assert decision.copies_consumed == ell * rounds
     assert src.ledger.consumed == ell * rounds
+
+
+def test_or_bound_decide_exact_mode_runs_the_control_qubit_round(monkeypatch):
+    rounds_run = []
+
+    def spy(effects, rho, rng, cap):
+        rounds_run.append(rho.dim)
+        return controlled_or_test(effects, rho, rng, cap)
+
+    monkeypatch.setattr(orbound, "controlled_or_test", spy)
+    params = OrBoundParams(c=0.9, epsilon=0.5, delta=0.1, ell=3, rounds=8)
+    rho = random_density(2, substream(15, 0))
+    src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(15, 1))
+    decision = or_bound_decide([zero_effect(2), zero_effect(2)], src, params)
+    assert decision.case == "case_ii"
+    assert decision.accept_count == 0
+    assert src.ledger.consumed == 3 * 8
+    # one control-qubit test per round, each on the joint block of ell copies
+    assert rounds_run == [2**3] * 8
 
 
 def test_or_bound_decide_planted_and_all_below():
@@ -144,12 +156,12 @@ def test_or_bound_decide_planted_and_all_below():
         rng = substream(8, s)
         inst_hi = or_promise_instance(2, 4, 0.95, 0.3, rng)
         src = CopySource(inst_hi.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(9, s))
-        if or_bound_decide(list(inst_hi.effects), src, params, src.mode).case == "case_i":
+        if or_bound_decide(list(inst_hi.effects), src, params).case == "case_i":
             planted += 1
         rng2 = substream(10, s)
         inst_lo = or_promise_instance(2, 4, None, 0.3, rng2)
         src2 = CopySource(inst_lo.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(11, s))
-        if or_bound_decide(list(inst_lo.effects), src2, params, src2.mode).case == "case_ii":
+        if or_bound_decide(list(inst_lo.effects), src2, params).case == "case_ii":
             below += 1
     assert planted >= 38
     assert below >= 38
@@ -160,7 +172,7 @@ def test_or_bound_decide_certain_effect_case_i():
     params = OrBoundParams(c=1.0, epsilon=0.5, delta=0.1)
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(12, 0))
-    decision = or_bound_decide([identity_effect(2)], src, params, src.mode)
+    decision = or_bound_decide([identity_effect(2)], src, params)
     assert decision.case == "case_i"
     assert decision.accept_count == decision.rounds
 
@@ -170,5 +182,5 @@ def test_or_bound_threshold_clamped_into_register_range():
     params = OrBoundParams(c=1.0, epsilon=0.1, delta=0.1, ell=3, rounds=8)
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(13, 0))
-    decision = or_bound_decide([identity_effect(2)], src, params, src.mode)
+    decision = or_bound_decide([identity_effect(2)], src, params)
     assert 0 <= decision.threshold <= 3 + 1

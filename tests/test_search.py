@@ -76,11 +76,11 @@ def test_budget_within_copy_bound_at_reference_point():
 def test_verify_candidate_confirms_and_rejects():
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 0))
-    ok, mean = verify_candidate(identity_effect(2), src, 0.9, 0.4, 0.05, src.mode)
+    ok, mean = verify_candidate(identity_effect(2), src, 0.9, 0.4, 0.05)
     assert ok and mean == 1.0
     src2 = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 1))
     low = Effect(np.diag([0.1, 0.0]).astype(complex))
-    ok2, mean2 = verify_candidate(low, src2, 0.9, 0.4, 0.05, src2.mode)
+    ok2, mean2 = verify_candidate(low, src2, 0.9, 0.4, 0.05)
     assert not ok2
     assert mean2 < 0.5
 
@@ -93,7 +93,7 @@ def test_gentle_search_finds_planted_candidate():
         truth = np.array(inst.ground_truth)
         p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
         src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(2, s))
-        res = gentle_search(list(inst.effects), src, p, src.mode)
+        res = gentle_search(list(inst.effects), src, p)
         if res.found and truth[res.index] >= 0.9 - 0.5:
             found += 1
         assert res.copies_consumed == search_budget(8, p).total_units
@@ -110,7 +110,7 @@ def test_gentle_search_all_far_below_returns_not_found():
         inst = or_promise_instance(2, 8, None, 0.1, rng)
         p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
         src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(4, s))
-        res = gentle_search(list(inst.effects), src, p, src.mode)
+        res = gentle_search(list(inst.effects), src, p)
         misses += not res.found
     assert misses >= 18
 
@@ -120,7 +120,7 @@ def test_gentle_search_level_bars_decrease_linearly():
     inst = or_promise_instance(2, 8, 0.95, 0.3, rng)
     p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(5, 1))
-    res = gentle_search(list(inst.effects), src, p, src.mode)
+    res = gentle_search(list(inst.effects), src, p)
     levels, alpha, _ = p.level_params(8)
     assert len(res.level_bars) == levels
     for k, bar in enumerate(res.level_bars):
@@ -134,7 +134,7 @@ def test_gentle_search_deterministic_for_fixed_seed():
     results = []
     for _ in range(2):
         src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(6, 1))
-        results.append(gentle_search(list(inst.effects), src, p, src.mode))
+        results.append(gentle_search(list(inst.effects), src, p))
     assert results[0] == results[1]
 
 
@@ -146,6 +146,6 @@ def test_gentle_search_handles_none_padding():
     effects = list(inst.effects) + [None, None]
     p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(7, 1))
-    res = gentle_search(effects, src, p, src.mode)
+    res = gentle_search(effects, src, p)
     if res.found:
         assert res.index < 4

@@ -20,12 +20,9 @@ from shadowtomo.instances import (
     random_projector,
 )
 from shadowtomo.ledger import CopySource
-from shadowtomo.linalg import conjugate_each_register, tensor_power
 from shadowtomo.modes import FidelityMode
 from shadowtomo.quantum import (
     DensityMatrix,
-    Effect,
-    accept_prob,
     identity_effect,
     materialize_threshold,
     zero_effect,
@@ -34,7 +31,6 @@ from shadowtomo.rng import substream
 from shadowtomo.search import search_budget, SearchParams
 from shadowtomo.shadow import (
     Hypothesis,
-    ShadowParams,
     build_postselection_effect,
     build_refinement_effects,
     derive_params,
@@ -176,7 +172,7 @@ def test_shadow_trivial_instance_halts_immediately():
     effects = [identity_effect(2), zero_effect(2)]
     p = small_params(m=2)
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(2, 0))
-    run = run_shadow_tomography(effects, src, p, src.mode)
+    run = run_shadow_tomography(effects, src, p)
     assert run.transcript.t_final == 0
     assert len(run.transcript.steps) == 0
     assert abs(run.estimates[0] - 1.0) < 0.25
@@ -190,7 +186,7 @@ def test_shadow_estimates_within_epsilon_on_projectors():
         inst = projector_instance(2, 4, rng)
         p = small_params()
         src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(4, s))
-        run = run_shadow_tomography(list(inst.effects), src, p, src.mode)
+        run = run_shadow_tomography(list(inst.effects), src, p)
         err = max(
             abs(est - truth) for est, truth in zip(run.estimates, inst.ground_truth)
         )
@@ -203,7 +199,7 @@ def test_shadow_transcript_markov_decay_and_floor():
     inst = projector_instance(2, 4, rng)
     p = small_params()
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(5, 1))
-    run = run_shadow_tomography(list(inst.effects), src, p, src.mode)
+    run = run_shadow_tomography(list(inst.effects), src, p)
     eps = p.epsilon
     for step in run.transcript.steps:
         v = step.hypothesis_value
@@ -222,7 +218,7 @@ def test_shadow_transcript_serialization_field_set():
     inst = projector_instance(2, 4, rng)
     p = small_params()
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(6, 1))
-    run = run_shadow_tomography(list(inst.effects), src, p, src.mode)
+    run = run_shadow_tomography(list(inst.effects), src, p)
     doc = run.transcript.as_dict()
     assert set(doc) == {"steps", "halt_reason", "T"}
     for step in doc["steps"]:
@@ -243,7 +239,7 @@ def test_shadow_consumption_within_prediction():
     inst = projector_instance(2, 4, rng)
     p = small_params()
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(7, 1))
-    run = run_shadow_tomography(list(inst.effects), src, p, src.mode)
+    run = run_shadow_tomography(list(inst.effects), src, p)
     assert run.copies_consumed == src.ledger.consumed
     assert run.copies_consumed <= p.k_pred
     assert run.transcript.t_final <= p.t_bound
@@ -257,7 +253,7 @@ def test_shadow_iteration_bound_error():
     p = replace(small_params(), t_bound=1)
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(8, 1))
     with pytest.raises(IterationBoundExceededError):
-        run_shadow_tomography(list(inst.effects), src, p, src.mode)
+        run_shadow_tomography(list(inst.effects), src, p)
 
 
 def test_gap_test_size_formula():
@@ -268,9 +264,7 @@ def test_run_promise_gap_decides_all_sides():
     rng = substream(9, 0)
     inst, cutoffs = diagonal_gap_instance(4, 8, 0.2, rng)
     src = CopySource(inst.rho, FidelityMode.PER_COPY_COLLAPSE, substream(9, 1))
-    decisions = run_promise_gap(
-        list(inst.effects), cutoffs, 0.2, 0.1, src, src.mode
-    )
+    decisions = run_promise_gap(list(inst.effects), cutoffs, 0.2, 0.1, src)
     want = ["above" if s == "above" else "below" for s in inst.metadata["sides"]]
     assert decisions == want
     assert src.ledger.consumed == gap_test_size(8, 0.2, 0.1)
@@ -281,10 +275,10 @@ def test_run_promise_gap_rejects_fresh_mode():
     inst, cutoffs = diagonal_gap_instance(4, 4, 0.2, rng)
     src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(10, 1))
     with pytest.raises(ModeUnsupportedError):
-        run_promise_gap(list(inst.effects), cutoffs, 0.2, 0.1, src, src.mode)
+        run_promise_gap(list(inst.effects), cutoffs, 0.2, 0.1, src)
 
 
 def test_run_promise_gap_empty_effect_list():
     rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
     src = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(11, 0))
-    assert run_promise_gap([], [], 0.2, 0.1, src, src.mode) == []
+    assert run_promise_gap([], [], 0.2, 0.1, src) == []
