@@ -320,23 +320,14 @@ def signature_guess(estimates: np.ndarray, epsilon: float) -> int:
     return int(np.argmin(np.max(np.abs(base - est[None, :]), axis=1)))
 
 
-def classical_estimate_all(
-    samples: np.ndarray, masks: np.ndarray, strategy: str = "empirical_mean"
-) -> np.ndarray:
+def classical_estimate_all(samples: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Acceptance estimates for every indicator measurement from one shared
-    sample list. empirical_mean averages each indicator over the samples;
-    learn_distribution builds the empirical histogram first and takes exact
-    expectations against it. For indicators the two coincide."""
+    sample list: each indicator's mean over the samples."""
     samples = np.asarray(samples, dtype=np.intp)
     masks = np.asarray(masks, dtype=bool)
     if samples.size == 0:
         raise ValueError("need at least one sample")
-    if strategy == "empirical_mean":
-        return masks[:, samples].mean(axis=1)
-    if strategy == "learn_distribution":
-        hist = np.bincount(samples, minlength=masks.shape[1]) / samples.size
-        return masks.astype(np.float64) @ hist
-    raise ValueError("strategy must be empirical_mean or learn_distribution")
+    return masks[:, samples].mean(axis=1)
 
 
 def identify_index_classical(
@@ -344,7 +335,6 @@ def identify_index_classical(
     true_index: int,
     t_samples: int,
     rng: np.random.Generator,
-    strategy: str = "empirical_mean",
 ) -> tuple[int, bool]:
     """Draw T samples from D_i, estimate all K acceptances from the shared
     samples, and guess by signature matching. T=0 carries no information, so
@@ -353,7 +343,7 @@ def identify_index_classical(
         estimates = np.full(instance.k, 0.5)
     else:
         samples = rng.choice(instance.n, size=t_samples, p=instance.distributions[true_index])
-        estimates = classical_estimate_all(samples, instance.masks(), strategy)
+        estimates = classical_estimate_all(samples, instance.masks())
     guess = signature_guess(estimates, instance.epsilon)
     return guess, guess == true_index
 

@@ -33,8 +33,10 @@ from .quantum import (
     Measurement,
     accept_prob,
     collapse,
+    dense_operator,
     leaf_effect,
     threshold_accept_prob,
+    threshold_outcomes,
     unit_width,
 )
 from .config import POST_ARITHMETIC_ATOL
@@ -179,8 +181,12 @@ class StatisticalBatch(CopyBatch):
 
 
 class PerCopyBatch(CopyBatch):
-    """per_copy_collapse: each copy is a tracked single-copy state; collective
-    thresholds are realized as per-copy collapse plus classical counting."""
+    """per_copy_collapse: each copy is a tracked single-copy state.
+
+    Every measurement collapses each copy once, in copy order, under its leaf
+    effect; a threshold's outcomes are then counted level by level from
+    those per-copy outcomes (`threshold_outcomes`), with no further quantum
+    step."""
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
@@ -206,46 +212,29 @@ class PerCopyBatch(CopyBatch):
             self._states[idx[sel]] = (post + np.conj(np.transpose(post, (0, 2, 1)))) / (2 * denom)
         return accepts
 
-    def _apply_nested(self, m: Measurement, idx: np.ndarray) -> bool:
-        if isinstance(m, Effect):
-            assert len(idx) == 1
-            return bool(self._measure_copies(m, idx)[0])
-        w = unit_width(m.base)
-        outcomes = [
-            self._apply_nested(m.base, idx[r * w : (r + 1) * w]) for r in range(m.registers)
-        ]
-        count = sum(outcomes)
-        return count >= m.threshold if m.direction == "at_least" else count <= m.threshold
+    def _unit_outcomes(self, m: Measurement) -> np.ndarray:
+        leaf_accepts = self._measure_copies(leaf_effect(m), np.arange(self.n_copies))
+        return threshold_outcomes(m, leaf_accepts)
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
-        if isinstance(m, Effect):
-            return bool(self._measure_copies(m, np.arange(1))[0])
-        if isinstance(m.base, Effect):
-            # flat threshold: one vectorized sweep over all copies
-            outcomes = self._measure_copies(m.base, np.arange(self.n_copies))
-            count = int(outcomes.sum())
-            return count >= m.threshold if m.direction == "at_least" else count <= m.threshold
-        return self._apply_nested(m, np.arange(self.n_copies))
+        return bool(self._unit_outcomes(m)[0])
 
     def measure_units(self, m: Measurement) -> np.ndarray:
-        n_units = self._check_units(m)
-        w = unit_width(m)
-        if isinstance(m, Effect):
-            return self._measure_copies(m, np.arange(self.n_copies))
-        idx = np.arange(self.n_copies)
-        out = np.empty(n_units, dtype=bool)
-        for u in range(n_units):
-            out[u] = self._apply_nested(m, idx[u * w : (u + 1) * w])
-        return out
+        self._check_units(m)
+        return self._unit_outcomes(m)
 
     def measure_count(self, e: Effect) -> int:
         return int(self._measure_copies(e, np.arange(self.n_copies)).sum())
 
 
 class ExactBatch(CopyBatch):
-    """exact_tensor: the whole batch is one joint density matrix and every
-    measurement is a canonical collapse on it. Dimension-capped."""
+    """exact_tensor: the whole batch is one joint density matrix.
+
+    Every measurement collapses the joint state unit by unit, in unit order,
+    under the unit's dense operator embedded at its copies: a collective
+    measurement is one unit spanning the batch, and a count is one unit per
+    copy. Dimension-capped."""
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
@@ -268,13 +257,6 @@ class ExactBatch(CopyBatch):
             raise DimensionMismatchError("joint state dimension changed")
         self._joint = np.asarray(state.mat).copy()
 
-    def _materialize(self, m: Measurement) -> np.ndarray:
-        from .quantum import materialize_threshold
-
-        if isinstance(m, Effect):
-            return np.asarray(m.mat)
-        return np.asarray(materialize_threshold(m, self.source.dim_cap).mat)
-
     def _embed(self, op: np.ndarray, offset_copies: int, span: int) -> np.ndarray:
         d = self.source.dim
         left = np.eye(d**offset_copies)
@@ -283,35 +265,21 @@ class ExactBatch(CopyBatch):
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
-        op = self._materialize(m)
-        p = float(np.real(np.trace(op @ self._joint)))
-        p = min(1.0, max(0.0, p))
-        accept = bool(self.source.rng.random() < p)
-        _, self._joint = collapse(self._joint, op, accept)
-        return accept
+        return bool(self.measure_units(m)[0])
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         n_units = self._check_units(m)
         w = unit_width(m)
-        op = self._materialize(m)
+        op = dense_operator(m, self.source.dim_cap)
         out = np.empty(n_units, dtype=bool)
         for u in range(n_units):
             big = self._embed(op, u * w, w)
             p = min(1.0, max(0.0, float(np.real(np.trace(big @ self._joint)))))
-            accept = bool(self.source.rng.random() < p)
-            _, self._joint = collapse(self._joint, big, accept)
-            out[u] = accept
+            out[u] = self.source.rng.random() < p
+            _, self._joint = collapse(self._joint, big, bool(out[u]))
         return out
 
     def measure_count(self, e: Effect) -> int:
         if e.dim != self.source.dim:
             raise DimensionMismatchError("per-copy effect has wrong dimension")
-        count = 0
-        for r in range(self.n_copies):
-            big = self._embed(np.asarray(e.mat), r, 1)
-            p = min(1.0, max(0.0, float(np.real(np.trace(big @ self._joint)))))
-            accept = bool(self.source.rng.random() < p)
-            _, self._joint = collapse(self._joint, big, accept)
-            count += int(accept)
-        return count
-
+        return int(self.measure_units(e).sum())

@@ -3,14 +3,15 @@ what a desk-scale simulation can afford to materialize.
 
 exact_tensor
     Joint states are materialized as dense matrices and every measurement is
-    realized by the canonical two-outcome collapse on the joint. Faithful to
-    measurement back-action, but every materialized dimension must stay
-    within the configured cap.
+    realized by the canonical two-outcome collapse on the joint, unit by
+    unit in unit order. Faithful to measurement back-action, but every
+    materialized dimension must stay within the configured cap.
 
 per_copy_collapse
-    Copies are tracked individually. A collective threshold measurement is
-    realized as one canonical collapse per copy followed by classical
-    thresholding of the outcome counts. Honest about per-copy damage, never
+    Copies are tracked individually. Every measurement collapses each copy
+    once, in copy order, under the leaf effect of a (possibly nested)
+    threshold; the threshold's outcome is then counted level by level from
+    those per-copy outcomes. Honest about per-copy damage, never
     materializes a joint state, but cannot represent coherence across
     registers (for commuting/diagonal instances it is exact).
 

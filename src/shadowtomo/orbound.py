@@ -42,7 +42,7 @@ from .quantum import (
     Measurement,
     ThresholdEffect,
     collapse,
-    materialize_threshold,
+    dense_operator,
     unit_width,
 )
 from . import linalg
@@ -90,12 +90,6 @@ class OrDecision:
     copies_consumed: int
 
 
-def _as_operator(m: Measurement, cap: int) -> np.ndarray:
-    if isinstance(m, ThresholdEffect):
-        return np.asarray(materialize_threshold(m, cap).mat)
-    return np.asarray(m.mat)
-
-
 _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
 _ONE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
@@ -109,7 +103,7 @@ def _conditional_ops(
         raise DimensionCapError(2 * dim, cap, "control-extended state")
     ops = []
     for m in effects:
-        op = _as_operator(m, cap)
+        op = dense_operator(m, cap)
         if op.shape[0] != dim:
             raise DimensionMismatchError("effect dimension does not match the state")
         ops.append(np.kron(_ONE, op))

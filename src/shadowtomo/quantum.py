@@ -282,6 +282,27 @@ def materialize_threshold(te: ThresholdEffect, cap: int = DEFAULT_DIM_CAP) -> Ef
     return Effect(linalg.hermitize(total), atol=POST_ARITHMETIC_ATOL)
 
 
+def dense_operator(m: Measurement, cap: int) -> np.ndarray:
+    """Accepting operator of `m` as a dense matrix; a threshold is
+    materialized under `cap`."""
+    if isinstance(m, Effect):
+        return np.asarray(m.mat)
+    return np.asarray(materialize_threshold(m, cap).mat)
+
+
+def threshold_outcomes(m: Measurement, leaf_accepts: np.ndarray) -> np.ndarray:
+    """Outcome of `m` on each consecutive unit of copies, given the leaf
+    effect's outcome on every copy in order.
+
+    Level by level from the leaf up: each group of `registers` consecutive
+    outcomes of the level below is counted and compared with the threshold.
+    """
+    if isinstance(m, Effect):
+        return leaf_accepts
+    counts = threshold_outcomes(m.base, leaf_accepts).reshape(-1, m.registers).sum(axis=1)
+    return counts >= m.threshold if m.direction == "at_least" else counts <= m.threshold
+
+
 def threshold_diagonal_values(
     eigenvalues: np.ndarray, q: int, threshold: int, direction: Direction
 ) -> np.ndarray:

@@ -431,7 +431,7 @@ def _trial_classical(cfg: ScenarioConfig, trial: int):
         return row, {"generation_failed": True}
     true_index = int(rng.integers(cfg.k))
     samples = rng.choice(cfg.n, size=k_samples, p=inst.distributions[true_index])
-    estimates = classical_estimate_all(samples, inst.masks(), "empirical_mean")
+    estimates = classical_estimate_all(samples, inst.masks())
     truth = np.array([inst.acceptance(true_index, j) for j in range(cfg.k)])
     err = float(np.max(np.abs(estimates - truth)))
     success = err <= cfg.epsilon

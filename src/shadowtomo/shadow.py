@@ -182,14 +182,13 @@ class Hypothesis:
     p          probability that all postselections so far succeeded
     """
 
-    __slots__ = ("amplified", "reduced", "d", "q", "iteration", "p")
+    __slots__ = ("amplified", "reduced", "d", "q", "p")
 
-    def __init__(self, amplified: np.ndarray, d: int, q: int, iteration: int, p: float):
+    def __init__(self, amplified: np.ndarray, d: int, q: int, p: float):
         self.amplified = amplified
         self.reduced = linalg.average_single_register_trace(amplified, d, q)
         self.d = d
         self.q = q
-        self.iteration = iteration
         self.p = p
 
     @classmethod
@@ -197,7 +196,7 @@ class Hypothesis:
         dim = d**q
         if dim > dim_cap:
             raise DimensionCapError(dim, dim_cap, "amplified hypothesis")
-        return cls(np.eye(dim, dtype=np.complex128) / dim, d, q, 0, 1.0)
+        return cls(np.eye(dim, dtype=np.complex128) / dim, d, q, 1.0)
 
     def value(self, e: Effect) -> float:
         """Tr(E rho_t) against the reduced hypothesis state."""
@@ -241,26 +240,15 @@ def build_postselection_effect(
     raise ValueError("sign must be '+' or '-'")
 
 
-def postselect_hypothesis(h: Hypothesis, f: Measurement) -> Hypothesis:
-    """Condition the hypothesis on measurement f accepting.
+def postselect_hypothesis(h: Hypothesis, f: ThresholdEffect) -> Hypothesis:
+    """Condition the hypothesis on threshold measurement f accepting.
 
     New state sqrt(F) rho* sqrt(F) / Tr(F rho*); p multiplies by the
-    acceptance probability. For a threshold measurement over a
-    single-register base the update runs in the base's eigenbasis, where
-    the threshold operator is diagonal with Poisson-binomial tail entries;
-    no D^q x D^q operator is ever materialized.
+    acceptance probability. The base must be a single-register effect: the
+    update runs in its eigenbasis, where the threshold operator is diagonal
+    with Poisson-binomial tail entries, so no D^q x D^q operator is ever
+    materialized.
     """
-    if isinstance(f, Effect):
-        if f.dim != h.amplified.shape[0]:
-            raise DimensionMismatchError("postselection effect must span the full hypothesis")
-        p_acc = float(np.real(np.trace(np.asarray(f.mat) @ h.amplified)))
-        if p_acc <= 1e-12:
-            raise DegeneratePostselectionError(
-                f"acceptance probability {p_acc:.3e} too small to condition on"
-            )
-        b = linalg.herm_sqrt(np.asarray(f.mat))
-        post = linalg.hermitize(b @ h.amplified @ b) / p_acc
-        return Hypothesis(post, h.d, h.q, h.iteration + 1, h.p * p_acc)
     if not isinstance(f.base, Effect):
         raise DimensionMismatchError("nested threshold postselection is not supported")
     if f.base.dim != h.d or f.registers != h.q:
@@ -276,7 +264,7 @@ def postselect_hypothesis(h: Hypothesis, f: Measurement) -> Hypothesis:
     root = np.sqrt(fvals)
     sigma = sigma * root[:, None] * root[None, :] / p_acc
     post = linalg.hermitize(linalg.conjugate_each_register(sigma, u, h.d, h.q))
-    return Hypothesis(post, h.d, h.q, h.iteration + 1, h.p * p_acc)
+    return Hypothesis(post, h.d, h.q, h.p * p_acc)
 
 
 @dataclass(frozen=True)

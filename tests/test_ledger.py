@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowtomo.errors import BudgetExhaustedError
+from shadowtomo.errors import BudgetExhaustedError, DimensionMismatchError
 from shadowtomo.instances import random_density, random_effect, random_projector
 from shadowtomo.ledger import (
     CopyLedger,
@@ -20,7 +20,9 @@ from shadowtomo.quantum import (
     Effect,
     ThresholdEffect,
     accept_prob,
+    collapse,
     leaf_effect,
+    materialize_threshold,
     threshold_accept_prob,
     unit_width,
 )
@@ -186,6 +188,136 @@ def test_statistical_memo_draws_match_unmemoized_reference(seed, specs, steps):
             assert got == bool(ref.random() < p)
             consumed += unit_width(m)
     assert src.ledger.consumed == consumed
+
+
+# Reference realizations the batches must reproduce draw for draw: per-copy
+# mode walking a nested threshold recursively, one copy per kernel call, and
+# exact mode with a dense collapse loop of its own for each batch method.
+
+
+def _ref_nested(batch, m, idx):
+    if isinstance(m, Effect):
+        assert len(idx) == 1
+        return bool(batch._measure_copies(m, idx)[0])
+    w = unit_width(m.base)
+    outcomes = [_ref_nested(batch, m.base, idx[r * w : (r + 1) * w]) for r in range(m.registers)]
+    count = sum(outcomes)
+    return count >= m.threshold if m.direction == "at_least" else count <= m.threshold
+
+
+def _ref_per_copy(batch, op, m):
+    everything = np.arange(batch.n_copies)
+    if op == "count":
+        return int(batch._measure_copies(m, everything).sum())
+    if op == "collective":
+        if isinstance(m, Effect):
+            return bool(batch._measure_copies(m, np.arange(1))[0])
+        if isinstance(m.base, Effect):
+            count = int(batch._measure_copies(m.base, everything).sum())
+            return count >= m.threshold if m.direction == "at_least" else count <= m.threshold
+        return _ref_nested(batch, m, everything)
+    if isinstance(m, Effect):
+        return batch._measure_copies(m, everything)
+    w = unit_width(m)
+    return np.array(
+        [_ref_nested(batch, m, everything[u * w : (u + 1) * w]) for u in range(batch.n_copies // w)]
+    )
+
+
+def _ref_embed(op, d, n_copies, offset, span):
+    left = np.eye(d**offset)
+    right = np.eye(d ** (n_copies - offset - span))
+    return np.kron(np.kron(left, op), right)
+
+
+def _ref_collapse(batch, big):
+    p = min(1.0, max(0.0, float(np.real(np.trace(big @ batch._joint)))))
+    accept = bool(batch.source.rng.random() < p)
+    _, batch._joint = collapse(batch._joint, big, accept)
+    return accept
+
+
+def _ref_exact(batch, op, m):
+    d, n = batch.source.dim, batch.n_copies
+    dense = np.asarray(m.mat if isinstance(m, Effect) else materialize_threshold(m).mat)
+    if op == "collective":
+        return _ref_collapse(batch, dense)
+    w = 1 if op == "count" else unit_width(m)
+    out = np.array([_ref_collapse(batch, _ref_embed(dense, d, n, u * w, w)) for u in range(n // w)])
+    return int(out.sum()) if op == "count" else out
+
+
+def _draw_schedule(data, d, max_copies):
+    """A nested register shape of depth 0-2, a unit count, and a list of
+    (op, measurement) steps over one batch of `width * units` copies.
+    Thresholds and directions are drawn anew per step, sentinels included."""
+    shape, width = [], 1
+    for _ in range(data.draw(st.integers(0, 2))):
+        shape.append(data.draw(st.integers(1, min(3, max_copies // width))))
+        width *= shape[-1]
+    units = data.draw(st.integers(1, min(3, max_copies // width)))
+    rng = substream(data.draw(st.integers(0, 2**16)), 0)
+    rho = random_density(d, rng)
+    leaves = [random_effect(d, rng) for _ in range(2)]
+
+    def measurement(registers):
+        m = leaves[data.draw(st.integers(0, 1))]
+        for n in registers:
+            direction = data.draw(st.sampled_from(DIRECTIONS))
+            lo, hi = (0, n + 1) if direction == "at_least" else (-1, n)
+            m = ThresholdEffect(m, n, data.draw(st.integers(lo, hi)), direction)
+        return m
+
+    ops = data.draw(
+        st.lists(st.sampled_from(("collective", "units", "count")), min_size=1, max_size=6)
+    )
+    steps = []
+    for op in ops:
+        if op == "count":
+            steps.append((op, measurement([])))
+        elif op == "units":
+            steps.append((op, measurement(shape)))
+        else:
+            steps.append((op, measurement(shape + ([units] if units > 1 else []))))
+    return rho, width * units, steps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.data())
+def test_per_copy_outcomes_and_states_match_copy_by_copy_walk(d, data):
+    rho, n, steps = _draw_schedule(data, d, max_copies=27)
+    seed = data.draw(st.integers(0, 2**16))
+    batch = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 1)).dispense(n, "x")
+    ref = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 1)).dispense(n, "x")
+    for op, m in steps:
+        got = getattr(batch, "measure_" + op)(m)
+        want = _ref_per_copy(ref, op, m)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+        assert batch._states.tobytes() == ref._states.tobytes()
+    assert batch.source.rng.random() == ref.source.rng.random()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.data())
+def test_exact_outcomes_and_joint_match_dense_loop(d, data):
+    rho, n, steps = _draw_schedule(data, d, max_copies=5 if d == 2 else 3)
+    seed = data.draw(st.integers(0, 2**16))
+    batch = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(seed, 1)).dispense(n, "x")
+    ref = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(seed, 1)).dispense(n, "x")
+    for op, m in steps:
+        got = getattr(batch, "measure_" + op)(m)
+        want = _ref_exact(ref, op, m)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+        assert batch._joint.tobytes() == ref._joint.tobytes()
+    assert batch.source.rng.random() == ref.source.rng.random()
+
+
+def test_exact_count_rejects_wrong_dimension():
+    batch = CopySource(mixed_state(2), FidelityMode.EXACT_TENSOR, substream(10, 0)).dispense(2, "x")
+    with pytest.raises(DimensionMismatchError):
+        batch.measure_count(Effect(np.eye(3, dtype=complex)))
 
 
 def test_exact_batch_collective_probability_is_exact():

@@ -97,7 +97,6 @@ def test_hypothesis_initial_is_maximally_mixed():
     assert np.allclose(h.amplified, np.eye(8) / 8.0)
     assert np.allclose(h.reduced, np.eye(2) / 2.0)
     assert h.p == 1.0
-    assert h.iteration == 0
 
 
 def test_hypothesis_value_of_projector_on_mixed_state():
