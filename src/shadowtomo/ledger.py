@@ -186,30 +186,50 @@ class PerCopyBatch(CopyBatch):
     Every measurement collapses each copy once, in copy order, under its leaf
     effect; a threshold's outcomes are then counted level by level from
     those per-copy outcomes (`threshold_outcomes`), with no further quantum
-    step."""
+    step.
+
+    Copies with the same outcome history share one stored state. Every copy
+    starts in the hidden state, and a collapse is a deterministic function of
+    (state, effect, outcome), so such copies hold the same state bit for bit:
+    the batch keeps a stack of distinct states, `_distinct`, and each copy's
+    row in it, `_row`, and collapses each distinct state once per outcome.
+    The kernel computes every row on its own, so a row's result does not
+    depend on which other rows share the stack."""
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
-        # (n, d, d) stack of per-copy states
-        self._states = np.broadcast_to(
-            source._true_state.mat, (n_copies, source.dim, source.dim)
-        ).copy()
+        d = source.dim
+        # one distinct state to start with, none in an empty batch
+        self._distinct = np.broadcast_to(source._true_state.mat, (min(n_copies, 1), d, d)).copy()
+        self._row = np.zeros(n_copies, dtype=np.intp)
+
+    @property
+    def _states(self) -> np.ndarray:
+        """(n, d, d) per-copy states, expanded from the distinct ones."""
+        return self._distinct[self._row]
 
     def _measure_copies(self, e: Effect, idx: np.ndarray) -> np.ndarray:
         """Collapse every copy in `idx` under `e`; returns accept booleans."""
-        mats = self._states[idx]
+        rows, local = np.unique(self._row[idx], return_inverse=True)
+        mats = self._distinct[rows]
         probs = np.real(np.einsum("kij,ji->k", mats, np.asarray(e.mat)))
         probs = np.clip(probs, 0.0, 1.0)
-        accepts = self.source.rng.random(len(idx)) < probs
+        accepts = self.source.rng.random(len(idx)) < probs[local]
+        # a child is one (parent row, outcome) pair that some copy reaches
+        children, child_of = np.unique(2 * local + accepts, return_inverse=True)
+        parent, accepted = children // 2, children % 2 == 1
         k_acc = linalg.herm_sqrt(np.asarray(e.mat))
         k_rej = linalg.herm_sqrt(np.eye(e.dim) - np.asarray(e.mat))
-        for flag, k, p in ((True, k_acc, probs), (False, k_rej, 1.0 - probs)):
-            sel = np.flatnonzero(accepts == flag)
-            if sel.size == 0:
-                continue
-            post = np.einsum("ij,kjl,lm->kim", k, mats[sel], k)
-            denom = np.maximum(p[sel], 1e-300)[:, None, None]
-            self._states[idx[sel]] = (post + np.conj(np.transpose(post, (0, 2, 1)))) / (2 * denom)
+        kraus = np.where(accepted[:, None, None], k_acc, k_rej)
+        p = np.where(accepted, probs[parent], 1.0 - probs[parent])
+        post = kraus @ mats[parent] @ kraus
+        denom = np.maximum(p, 1e-300)[:, None, None]
+        post = (post + np.conj(np.transpose(post, (0, 2, 1)))) / (2 * denom)
+        # append the children, then drop every row no copy references
+        row = self._row.copy()
+        row[idx] = len(self._distinct) + child_of
+        live, self._row = np.unique(row, return_inverse=True)
+        self._distinct = np.concatenate([self._distinct, post])[live]
         return accepts
 
     def _unit_outcomes(self, m: Measurement) -> np.ndarray:

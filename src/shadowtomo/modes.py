@@ -11,9 +11,11 @@ per_copy_collapse
     Copies are tracked individually. Every measurement collapses each copy
     once, in copy order, under the leaf effect of a (possibly nested)
     threshold; the threshold's outcome is then counted level by level from
-    those per-copy outcomes. Honest about per-copy damage, never
-    materializes a joint state, but cannot represent coherence across
-    registers (for commuting/diagonal instances it is exact).
+    those per-copy outcomes. Copies with the same outcome history share one
+    stored state, so a block costs one collapse per distinct history, not
+    per copy. Honest about per-copy damage, never materializes a joint
+    state, but cannot represent coherence across registers (for
+    commuting/diagonal instances it is exact).
 
 fresh_copy_statistical
     No states are tracked at all. Measurement outcomes on product states are

@@ -550,10 +550,14 @@ def _check_hlw(cfg, rows, extras):
         "tail_freq_quarter": float(np.mean(np.abs(overlaps - 0.25) > 0.05)),
     }
     if len(rows) >= 500:
-        info["mean_band"] = [0.48, 0.52]
-        return info, 0.48 <= mean <= 0.52
-    info["exploratory"] = True
-    return info, True
+        lo, hi = 0.48, 0.52
+    else:
+        # overlaps lie in [0, 1], so Hoeffding bounds the mean's deviation
+        # from 1/2 by this half-width with probability >= 1 - delta
+        half = math.sqrt(math.log(2.0 / cfg.delta) / (2 * len(rows)))
+        lo, hi = 0.5 - half, 0.5 + half
+    info["mean_band"] = [lo, hi]
+    return info, lo <= mean <= hi
 
 
 # ---------------------------------------------------------------------------

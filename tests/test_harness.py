@@ -2,7 +2,9 @@
 command-line interface."""
 
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,3 +370,31 @@ def test_money_true_key_check_reads_the_minted_key(monkeypatch):
     row, extras = run_trial(resolve(ScenarioConfig(scenario="money-demo", trials=1)), 0)
     assert row.max_error == pytest.approx(0.5)
     assert extras["true_key_within_eps"]
+
+
+def test_hlw_gates_on_hoeffding_band_below_500_trials(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(CONFIGS / "hlw.cfg"), "--set", "trials=499", "--out-dir", str(out)]
+    )
+    info = json.loads((out / "summary.json").read_text())["thresholds"]
+    half = math.sqrt(math.log(2 / 0.1) / (2 * 499))
+    assert info["mean_band"] == [0.5 - half, 0.5 + half]
+    assert "exploratory" not in info
+    assert info["mean_band"][0] <= info["mean_overlap"] <= info["mean_band"][1]
+    assert code == 0
+
+
+def test_hlw_gate_fails_on_a_biased_overlap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        scenarios, "hlw_overlap_experiment",
+        lambda n, samples, rng: SimpleNamespace(overlaps=np.full(samples, 0.3)),
+    )
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(CONFIGS / "hlw.cfg"), "--set", "trials=100", "--out-dir", str(out)]
+    )
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["thresholds"]["mean_overlap"] == 0.3
+    assert summary["thresholds_met"] is False

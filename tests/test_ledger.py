@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2_contingency
 
+from shadowtomo import linalg
 from shadowtomo.errors import BudgetExhaustedError, DimensionMismatchError
 from shadowtomo.instances import random_density, random_effect, random_projector
 from shadowtomo.ledger import (
@@ -345,3 +347,135 @@ def test_exact_batch_zero_copies_guard():
     batch = src.dispense(0, "x")
     assert batch.n_copies == 0
 
+
+# The stacked kernel against the kernel it replaced: per copy, a two-branch
+# three-operand einsum over a full (n, d, d) stack of per-copy states.
+
+
+def _ref_measure_copies(states, rng, e, idx):
+    mats = states[idx]
+    probs = np.real(np.einsum("kij,ji->k", mats, np.asarray(e.mat)))
+    probs = np.clip(probs, 0.0, 1.0)
+    accepts = rng.random(len(idx)) < probs
+    k_acc = linalg.herm_sqrt(np.asarray(e.mat))
+    k_rej = linalg.herm_sqrt(np.eye(e.dim) - np.asarray(e.mat))
+    for flag, k, p in ((True, k_acc, probs), (False, k_rej, 1.0 - probs)):
+        sel = np.flatnonzero(accepts == flag)
+        if sel.size == 0:
+            continue
+        post = np.einsum("ij,kjl,lm->kim", k, mats[sel], k)
+        denom = np.maximum(p[sel], 1e-300)[:, None, None]
+        states[idx[sel]] = (post + np.conj(np.transpose(post, (0, 2, 1)))) / (2 * denom)
+    return accepts
+
+
+def _copy_subsets(n):
+    """Index arrays into n copies: every copy, or any subset in copy order."""
+    every = st.just(np.arange(n))
+    some = st.lists(st.booleans(), min_size=n, max_size=n).map(np.flatnonzero)
+    return st.one_of(every, some)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(1, 40), st.data())
+def test_per_copy_kernel_matches_copy_stack_einsum(d, n, data):
+    seed = data.draw(st.integers(0, 2**16))
+    rng = substream(seed, 0)
+    rho = random_density(d, rng)
+    effects = [random_effect(d, rng) for _ in range(3)]
+    batch = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 1)).dispense(n, "x")
+    ref_rng = substream(seed, 1)
+    ref_states = np.broadcast_to(rho.mat, (n, d, d)).copy()
+    steps = data.draw(st.lists(st.tuples(st.integers(0, 2), _copy_subsets(n)), max_size=8))
+    for which, idx in steps:
+        got = batch._measure_copies(effects[which], idx)
+        want = _ref_measure_copies(ref_states, ref_rng, effects[which], idx)
+        np.testing.assert_array_equal(got, want)
+        assert np.max(np.abs(batch._states - ref_states), initial=0.0) <= 1e-12
+    assert batch.source.rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.integers(0, 40), st.data())
+def test_per_copy_storage_is_one_row_per_outcome_history(d, n, data):
+    # A copy's history is its outcome in every sweep, or None where a sweep
+    # skipped it. Copies share a stored row exactly when they share a
+    # history, and every stored row is referenced by some copy; so a sweep
+    # over every copy at most doubles the rows, and a partial one at most
+    # triples them.
+    seed = data.draw(st.integers(0, 2**16))
+    rng = substream(seed, 0)
+    rho = random_density(d, rng)
+    effects = [random_effect(d, rng) for _ in range(2)]
+    batch = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 1)).dispense(n, "x")
+    steps = data.draw(st.lists(st.tuples(st.integers(0, 1), _copy_subsets(n)), max_size=10))
+    histories = [()] * n
+    bound = 1
+    for which, idx in steps:
+        accepts = dict(zip(idx.tolist(), batch._measure_copies(effects[which], idx).tolist()))
+        histories = [h + (accepts.get(c),) for c, h in enumerate(histories)]
+        bound *= 2 if len(idx) == n else 3
+        np.testing.assert_array_equal(np.unique(batch._row), np.arange(len(batch._distinct)))
+        first_copy = {}
+        for c, h in enumerate(histories):
+            first_copy.setdefault(h, c)
+        assert len(batch._distinct) == len(first_copy) <= min(n, bound)
+        for c, h in enumerate(histories):
+            assert batch._row[c] == batch._row[first_copy[h]]
+    assert batch._states.shape == (n, d, d)
+
+
+@pytest.mark.parametrize("n_copies", [2, 3])
+def test_per_copy_and_exact_agree_in_law_on_diagonal_instances(n_copies):
+    # Diagonal states and effects commute, so per-copy collapse is exact:
+    # both modes must give the same joint law of the recorded outcomes. The
+    # effects are near-projectors, so repeated measurements of one copy are
+    # strongly correlated and a mode that skipped the collapse would show.
+    # Outcome-tuple counts over a fixed set of seeds go into a chi-square
+    # homogeneity test at level 1e-3; cells with a pooled count below 10
+    # are merged into one.
+    rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
+    e1 = Effect(np.diag([0.9, 0.15]).astype(complex))
+    e2 = Effect(np.diag([0.2, 0.85]).astype(complex))
+    schedule = [
+        ("count", e1),
+        ("collective", ThresholdEffect(e2, n_copies, 1, "at_least")),
+        ("count", e2),
+        ("collective", ThresholdEffect(e1, n_copies, n_copies - 1, "at_most")),
+    ]
+    trials = 600
+    counts = {}
+    for col, mode in enumerate((FidelityMode.PER_COPY_COLLAPSE, FidelityMode.EXACT_TENSOR)):
+        src = CopySource(rho, mode, substream(31, n_copies))
+        for _ in range(trials):
+            batch = src.dispense(n_copies, "x")
+            key = tuple(int(getattr(batch, "measure_" + op)(m)) for op, m in schedule)
+            counts.setdefault(key, [0, 0])[col] += 1
+    table = np.array(sorted(counts.values(), key=sum))
+    rare = table.sum(axis=1) < 10
+    table = np.vstack([table[~rare], table[rare].sum(axis=0, keepdims=True)])
+    table = table[table.sum(axis=1) > 0]
+    assert chi2_contingency(table).pvalue > 1e-3
+
+
+_DISPENSE = st.tuples(st.integers(0, 6), st.sampled_from(("a", "b", "c/d")))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(list(FidelityMode)),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.lists(_DISPENSE, max_size=25),
+)
+def test_ledger_consumed_never_decreases_and_attribution_sums_to_it(mode, budget, steps):
+    src = CopySource(mixed_state(), mode, substream(0, 0), budget=budget)
+    before = 0
+    for n, phase in steps:
+        try:
+            src.dispense(n, phase)
+        except BudgetExhaustedError:
+            pass
+        assert src.ledger.consumed >= before
+        assert sum(src.ledger.attribution.values()) == src.ledger.consumed
+        before = src.ledger.consumed
+    assert budget is None or src.ledger.consumed <= budget

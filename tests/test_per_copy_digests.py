@@ -1,0 +1,31 @@
+"""Golden digests of the per-copy collapse path.
+
+Each case runs a shipped per-copy config through the CLI and pins the sha256
+of its `results.csv`. Any change to a per-copy outcome, to the order of its
+random draws or to the row layout fails here. A change that alters them on
+purpose must say so and update the digest.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from shadowtomo.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+GOLDEN = [
+    ("gap", ["--set", "trials=40"],
+     "e5c192cb995cdc7177fad4df1f916dd2ec71bcc3ff4ede74cfe69add4e51b325"),
+    ("random-order-or", [],
+     "bf2becf0a8d1b7f5c21848df22cf25421d1ff31091deedec304dfa9145be800b"),
+]
+
+
+@pytest.mark.parametrize("config, overrides, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_per_copy_results_digest_is_pinned(config, overrides, digest, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(CONFIGS / f"{config}.cfg"), *overrides, "--out-dir", str(out)])
+    assert code == 0
+    assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == digest
