@@ -10,11 +10,12 @@ K acceptance values to within eps identifies i. Each observed sample or copy
 carries at most log2(N) - H entropy about i, and that per-sample deficit is
 Theta(eps^2), which is the engine of the lower bounds.
 
-Subset and subspace families are built incrementally: candidates are drawn
-one at a time and kept only if they satisfy the overlap constraint against
-everything already kept, with a global attempt limit. Any family satisfying
-the constraints witnesses the construction, so the sampling order carries no
-correctness weight.
+The subset family is repaired from K random half-size rows by min-conflicts
+swaps until every pairwise intersection fits; the subspace family is
+rejection-sampled, each Haar candidate kept only if it satisfies the overlap
+constraint against everything already kept. Both share one attempt limit.
+Any family satisfying the constraints witnesses the construction, so the
+sampling order carries no correctness weight.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .config import CONSTRUCTION_ATOL
 from .errors import RejectionLimitError
 from .instances import haar_isometry
-from .quantum import DensityMatrix, Effect
+from .quantum import DensityMatrix
 
 REJECTION_ATTEMPT_LIMIT = 10**4
 
@@ -46,31 +47,12 @@ class ClassicalHardInstance:
     n: int
     k: int
     epsilon: float
-    subsets: tuple[tuple[int, ...], ...]
+    masks: np.ndarray  # (K, N) bool, row i is the indicator of S_i
     distributions: np.ndarray  # (K, N), rows sum to 1
-
-    def masks(self) -> np.ndarray:
-        out = np.zeros((self.k, self.n), dtype=bool)
-        for i, s in enumerate(self.subsets):
-            out[i, list(s)] = True
-        return out
-
-    def effects(self) -> list[Effect]:
-        return [Effect(np.diag(row.astype(np.float64)), atol=CONSTRUCTION_ATOL) for row in self.masks()]
 
     def acceptance(self, i: int, j: int) -> float:
         """Pr over D_i that measurement j accepts."""
-        return float(self.distributions[i] @ self.masks()[j])
-
-    def as_json_dict(self) -> dict:
-        return {
-            "kind": "classical",
-            "N": self.n,
-            "K": self.k,
-            "epsilon": self.epsilon,
-            "subsets": [list(s) for s in self.subsets],
-            "distributions": [[float(x) for x in row] for row in self.distributions],
-        }
+        return float(self.distributions[i] @ self.masks[j])
 
 
 @dataclass(frozen=True)
@@ -83,89 +65,61 @@ class QuantumHardInstance:
     epsilon: float
     projectors: np.ndarray  # (K, N, N)
 
-    def rho(self, i: int) -> DensityMatrix:
-        return DensityMatrix(2.0 / self.n * self.projectors[i], atol=CONSTRUCTION_ATOL)
-
     def sigma(self, i: int) -> DensityMatrix:
         m = (1.0 - 6.0 * self.epsilon) / self.n * np.eye(self.n) + (
             12.0 * self.epsilon / self.n
         ) * self.projectors[i]
         return DensityMatrix(m, atol=CONSTRUCTION_ATOL)
 
-    def effects(self) -> list[Effect]:
-        return [Effect(p, atol=CONSTRUCTION_ATOL) for p in self.projectors]
-
     def acceptance(self, i: int, j: int) -> float:
         """Tr(P_j sigma_i)."""
         return float(np.real(np.trace(self.projectors[j] @ np.asarray(self.sigma(i).mat))))
 
-    def as_json_dict(self) -> dict:
-        return {
-            "kind": "quantum",
-            "N": self.n,
-            "K": self.k,
-            "epsilon": self.epsilon,
-            "projectors": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in p] for p in self.projectors
-            ],
-        }
 
-
-# Fraction of repair moves that are random walks rather than best-swap
-# descent; keeps the sampler off plateaus. Calibrated so N=16, K=32
-# converges well inside the attempt limit.
-_REPAIR_NOISE = 0.1
-_SEED_PHASE_BUDGET = 2500
+# Moves without a new best conflict total before the picked row is redrawn
+# instead of swapped; min-conflicts descent alone stalls on plateaus.
 _STALL_KICK = 250
 
 
 def _sample_subset_family(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """(K, N) 0/1 matrix of half-size subsets with every pairwise
+    """(K, N) bool matrix of half-size subsets with every pairwise
     intersection inside [N/4 - N/12, N/4 + N/12].
 
-    Candidates are drawn one at a time and kept while they stay compatible
-    with everything already kept; once fresh draws stop fitting, single
-    element swaps repair the remaining conflicts (min-conflicts descent
-    with a random-walk fraction). Every proposed subset counts against one
-    shared attempt limit, and hitting it means K is too large for N.
+    Min-conflicts repair from K random rows: each move picks a random row
+    that has a conflict and makes the single in/out swap that leaves it the
+    fewest conflicts, ties broken at random. After _STALL_KICK moves without
+    a new best total, the move redraws the row instead. Every drawn row and
+    every move count against one shared attempt limit, and hitting it means
+    K is too large for N.
     """
     half = n // 2
     lo = math.ceil(n / 4.0 - n / 12.0)
     hi = math.floor(n / 4.0 + n / 12.0)
-    attempts = 0
 
     def draw() -> np.ndarray:
-        cand = np.zeros(n, dtype=np.int16)
-        cand[rng.choice(n, size=half, replace=False)] = 1
-        return cand
+        row = np.zeros(n, dtype=np.int16)
+        row[rng.choice(n, size=half, replace=False)] = 1
+        return row
 
-    m = np.zeros((k, n), dtype=np.int16)
-    rows = 0
-    while rows < k and attempts < min(_SEED_PHASE_BUDGET, REJECTION_ATTEMPT_LIMIT):
-        attempts += 1
-        cand = draw()
-        inter = m[:rows] @ cand
-        if rows == 0 or bool(np.all((inter >= lo) & (inter <= hi))):
-            m[rows] = cand
-            rows += 1
-    if rows == k:
-        return m
-    while rows < k:
-        m[rows] = draw()
-        rows += 1
-        attempts += 1
-
+    m = np.stack([draw() for _ in range(k)])
+    attempts = k
     mid = (lo + hi) // 2  # self-intersections masked with an always-legal value
     gram = m @ m.T
     np.fill_diagonal(gram, mid)
     bad = (gram < lo) | (gram > hi)
     best_total = np.inf
     stall = 0
-    while attempts <= REJECTION_ATTEMPT_LIMIT:
+    while True:
         per_row = bad.sum(axis=1)
         total = int(per_row.sum())
         if total == 0:
-            return m
+            return m.astype(bool)
+        if attempts >= REJECTION_ATTEMPT_LIMIT:
+            raise RejectionLimitError(
+                f"no subset family found in {REJECTION_ATTEMPT_LIMIT} attempts; "
+                f"K={k} is too large for N={n}"
+            )
+        attempts += 1
         if total < best_total:
             best_total = total
             stall = 0
@@ -173,49 +127,27 @@ def _sample_subset_family(n: int, k: int, rng: np.random.Generator) -> np.ndarra
             stall += 1
         viol = np.flatnonzero(per_row > 0)
         i = int(viol[rng.integers(len(viol))])
-        ins = np.flatnonzero(m[i] == 1)
-        outs = np.flatnonzero(m[i] == 0)
-        attempts += 1
         if stall >= _STALL_KICK:
             # long plateau: redraw the whole row to leave the basin
             stall = 0
             best_total = np.inf
-            cand = draw()
-            m[i] = cand
-            inter = (m @ cand).astype(np.int16)
-            inter[i] = mid
-            gram[i, :] = inter
-            gram[:, i] = inter
-            nb = (inter < lo) | (inter > hi)
-            bad[i, :] = nb
-            bad[:, i] = nb
-            continue
-        if rng.random() < _REPAIR_NOISE:
-            a = int(ins[rng.integers(len(ins))])
-            b = int(outs[rng.integers(len(outs))])
-            inter = gram[i] - m[:, a] + m[:, b]
+            m[i] = draw()
+            inter = m @ m[i]
         else:
             # all single swaps at once: (in, out, row) intersection updates
-            cand_inter = gram[i][None, None, :] - m[:, ins].T[:, None, :] + m[:, outs].T[None, :, :]
-            cand_inter[:, :, i] = mid
-            counts = ((cand_inter < lo) | (cand_inter > hi)).sum(axis=2)
-            flat = int(np.argmin(counts + rng.random(counts.shape)))
-            ai, bi = divmod(flat, len(outs))
-            a, b = int(ins[ai]), int(outs[bi])
-            inter = cand_inter[ai, bi]
-        inter = inter.copy()
+            ins = np.flatnonzero(m[i] == 1)
+            outs = np.flatnonzero(m[i] == 0)
+            cand = gram[i][None, None, :] - m[:, ins].T[:, None, :] + m[:, outs].T[None, :, :]
+            cand[:, :, i] = mid
+            counts = ((cand < lo) | (cand > hi)).sum(axis=2)
+            ai, bi = divmod(int(np.argmin(counts + rng.random(counts.shape))), len(outs))
+            m[i, ins[ai]] = 0
+            m[i, outs[bi]] = 1
+            inter = cand[ai, bi]
         inter[i] = mid
-        m[i, a] = 0
-        m[i, b] = 1
         gram[i, :] = inter
         gram[:, i] = inter
-        nb = (inter < lo) | (inter > hi)
-        bad[i, :] = nb
-        bad[:, i] = nb
-    raise RejectionLimitError(
-        f"no subset family found in {REJECTION_ATTEMPT_LIMIT} attempts; "
-        f"K={k} is too large for N={n}"
-    )
+        bad[i, :] = bad[:, i] = (inter < lo) | (inter > hi)
 
 
 def gen_classical_hard_instance(
@@ -230,12 +162,10 @@ def gen_classical_hard_instance(
     if not 0.0 < epsilon <= 1.0 / 6.0:
         raise ValueError("epsilon must be in (0, 1/6] to keep probabilities valid")
     half = n // 2
-    family = _sample_subset_family(n, k, rng).astype(bool)
-    subsets = tuple(tuple(int(x) for x in np.flatnonzero(row)) for row in family)
+    masks = _sample_subset_family(n, k, rng)
     on = (0.5 + 3.0 * epsilon) / half
     off = (0.5 - 3.0 * epsilon) / half
-    dists = np.where(family, on, off)
-    return ClassicalHardInstance(n, k, epsilon, subsets, dists)
+    return ClassicalHardInstance(n, k, epsilon, masks, np.where(masks, on, off))
 
 
 def gen_quantum_hard_instance(
@@ -288,7 +218,6 @@ class EntropyReport:
     closed_form: float
     direct: float
     deficit: float
-    per_sample_information_bound: float
 
 
 def entropy_report(instance: ClassicalHardInstance | QuantumHardInstance) -> EntropyReport:
@@ -307,7 +236,7 @@ def entropy_report(instance: ClassicalHardInstance | QuantumHardInstance) -> Ent
         vals = np.linalg.eigvalsh(np.asarray(instance.sigma(0).mat))
         direct = shannon_entropy(np.clip(vals, 0.0, None))
     deficit = math.log2(n) - closed
-    return EntropyReport(closed, direct, deficit, deficit)
+    return EntropyReport(closed, direct, deficit)
 
 
 def signature_guess(estimates: np.ndarray, epsilon: float) -> int:
@@ -343,7 +272,7 @@ def identify_index_classical(
         estimates = np.full(instance.k, 0.5)
     else:
         samples = rng.choice(instance.n, size=t_samples, p=instance.distributions[true_index])
-        estimates = classical_estimate_all(samples, instance.masks())
+        estimates = classical_estimate_all(samples, instance.masks)
     guess = signature_guess(estimates, instance.epsilon)
     return guess, guess == true_index
 
@@ -381,6 +310,18 @@ class OverlapReport:
     overlaps: np.ndarray = field(repr=False)
 
 
+def overlap_statistics(overlaps: np.ndarray) -> dict[str, float]:
+    """Mean of the overlaps, and their largest deviation and 1/20-tail
+    frequency around each candidate center 1/2 and 1/4."""
+    return {
+        "mean": float(overlaps.mean()),
+        "max_dev_half": float(np.max(np.abs(overlaps - 0.5))),
+        "max_dev_quarter": float(np.max(np.abs(overlaps - 0.25))),
+        "tail_freq_half": float(np.mean(np.abs(overlaps - 0.5) > 0.05)),
+        "tail_freq_quarter": float(np.mean(np.abs(overlaps - 0.25) > 0.05)),
+    }
+
+
 def hlw_overlap_experiment(n: int, trials: int, rng: np.random.Generator) -> OverlapReport:
     """Concentration of Tr(P_T rho_S) for a fixed half-dimension T and Haar
     half-dimension S.
@@ -399,13 +340,4 @@ def hlw_overlap_experiment(n: int, trials: int, rng: np.random.Generator) -> Ove
         iso = haar_isometry(n, half, rng)
         # Tr(P_T rho_S) = (2/N) |top half of the isometry|_F^2
         overlaps[t] = 2.0 / n * float(np.sum(np.abs(iso[:half, :]) ** 2))
-    return OverlapReport(
-        n=n,
-        trials=trials,
-        mean=float(overlaps.mean()),
-        max_dev_half=float(np.max(np.abs(overlaps - 0.5))),
-        max_dev_quarter=float(np.max(np.abs(overlaps - 0.25))),
-        tail_freq_half=float(np.mean(np.abs(overlaps - 0.5) > 0.05)),
-        tail_freq_quarter=float(np.mean(np.abs(overlaps - 0.25) > 0.05)),
-        overlaps=overlaps,
-    )
+    return OverlapReport(n=n, trials=trials, **overlap_statistics(overlaps), overlaps=overlaps)

@@ -27,6 +27,7 @@ from .hardness import (
     hlw_overlap_experiment,
     identify_index_classical,
     identify_index_quantum,
+    overlap_statistics,
 )
 from .instances import (
     diagonal_gap_instance,
@@ -431,7 +432,7 @@ def _trial_classical(cfg: ScenarioConfig, trial: int):
         return row, {"generation_failed": True}
     true_index = int(rng.integers(cfg.k))
     samples = rng.choice(cfg.n, size=k_samples, p=inst.distributions[true_index])
-    estimates = classical_estimate_all(samples, inst.masks())
+    estimates = classical_estimate_all(samples, inst.masks)
     truth = np.array([inst.acceptance(true_index, j) for j in range(cfg.k)])
     err = float(np.max(np.abs(estimates - truth)))
     success = err <= cfg.epsilon
@@ -540,15 +541,9 @@ def _check_rate_one_minus_delta(cfg, rows, extras):
 
 
 def _check_hlw(cfg, rows, extras):
-    overlaps = np.array([x["overlap"] for x in extras])
-    mean = float(overlaps.mean())
-    info = {
-        "mean_overlap": mean,
-        "max_dev_half": float(np.max(np.abs(overlaps - 0.5))),
-        "max_dev_quarter": float(np.max(np.abs(overlaps - 0.25))),
-        "tail_freq_half": float(np.mean(np.abs(overlaps - 0.5) > 0.05)),
-        "tail_freq_quarter": float(np.mean(np.abs(overlaps - 0.25) > 0.05)),
-    }
+    stats = overlap_statistics(np.array([x["overlap"] for x in extras]))
+    mean = stats.pop("mean")
+    info = {"mean_overlap": mean, **stats}
     if len(rows) >= 500:
         lo, hi = 0.48, 0.52
     else:

@@ -29,17 +29,19 @@ from .ledger import CopySource
 from .orbound import OrBoundParams, or_bound_decide
 from .quantum import Measurement, unit_width
 
+# ledger phases of the level OR decisions and of the final verification
+_OR_PHASE = "search-or"
+_VERIFY_PHASE = "search-verify"
+
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Search thresholds. alpha and beta derive from the padded candidate
-    count when left None; explicit values override the per-level split."""
+    """Search thresholds; the per-level alpha and beta derive from the
+    padded candidate count."""
 
     c: float
     epsilon: float
     delta: float
-    alpha: float | None = None
-    beta: float | None = None
     constants: Constants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
@@ -55,9 +57,7 @@ class SearchParams:
         levels = _next_pow2(m).bit_length() - 1
         if levels == 0:
             return 0, self.epsilon, self.delta
-        alpha = self.alpha if self.alpha is not None else self.epsilon / levels
-        beta = self.beta if self.beta is not None else self.delta / levels
-        return levels, alpha, beta
+        return levels, self.epsilon / levels, self.delta / levels
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ def verify_candidate(
     bar: float,
     gap: float,
     beta: float,
-    phase: str = "verification",
 ) -> tuple[bool, float]:
     """Estimate the effect's acceptance over fresh unit applications;
     confirm iff the empirical mean reaches bar - gap/2.
@@ -108,7 +107,7 @@ def verify_candidate(
         raise ValueError("need 0 < gap <= bar")
     n = verification_size(beta, gap)
     w = unit_width(effect)
-    batch = rho_source.dispense(n * w, phase)
+    batch = rho_source.dispense(n * w, _VERIFY_PHASE)
     outcomes = batch.measure_units(effect)
     mean = float(np.mean(outcomes))
     return mean >= bar - gap / 2.0, mean
@@ -151,7 +150,6 @@ def gentle_search(
     effects: list[Measurement | None],
     rho_source: CopySource,
     params: SearchParams,
-    phase: str = "search",
 ) -> SearchResult:
     """Find an index whose acceptance is >= c - eps, assuming some index
     has acceptance >= c; returns not-found when verification fails.
@@ -185,7 +183,7 @@ def gentle_search(
             case = "case_ii"
         else:
             or_params = OrBoundParams(c=bar, epsilon=alpha, delta=beta, constants=params.constants)
-            case = or_bound_decide(first, rho_source, or_params, phase=phase + "-or").case
+            case = or_bound_decide(first, rho_source, or_params, phase=_OR_PHASE).case
         if case == "case_i":
             window = first
         else:
@@ -196,6 +194,6 @@ def gentle_search(
         consumed = rho_source.ledger.consumed - consumed_before
         return SearchResult(False, None, tuple(bars), consumed, 0.0)
 
-    ok, mean = verify_candidate(candidate, rho_source, bar_final, gap, beta, phase + "-verify")
+    ok, mean = verify_candidate(candidate, rho_source, bar_final, gap, beta)
     consumed = rho_source.ledger.consumed - consumed_before
     return SearchResult(ok, offset if ok else None, tuple(bars), consumed, mean)

@@ -121,15 +121,14 @@ def derive_params(
     epsilon: float,
     delta: float,
     q: int | None = None,
-    beta: float | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ShadowParams:
     """Compute the full operating point from (D, M, eps, delta).
 
-    Explicit q or beta overrides are honored but flag the result as
+    An explicit q override is honored but flags the result as
     non-theoretical: the copy-complexity guarantees assume the derived
-    values. The amplified hypothesis lives in dimension D^q, which must fit
+    value. The amplified hypothesis lives in dimension D^q, which must fit
     under dim_cap; an oversized derived q is an error unless an override
     lowers it.
     """
@@ -142,18 +141,15 @@ def derive_params(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     q_star = derived_q(d, epsilon, constants)
-    beta_star = derived_beta(d, epsilon, delta)
+    beta = derived_beta(d, epsilon, delta)
     q_eff = q_star if q is None else q
-    beta_eff = beta_star if beta is None else beta
     if q_eff < 1:
         raise ValueError("q must be at least 1")
-    if not 0.0 < beta_eff < 1.0:
-        raise ValueError("beta must be in (0, 1)")
     if d**q_eff > dim_cap:
         raise DimensionCapError(d**q_eff, dim_cap, "amplified hypothesis")
     t_bound = math.ceil(constants.c_t * q_eff * math.log(d) / epsilon)
     sp = SearchParams(
-        c=PROMISE_BAR, epsilon=PROMISE_BAR - FIND_BAR, delta=beta_eff, constants=constants
+        c=PROMISE_BAR, epsilon=PROMISE_BAR - FIND_BAR, delta=beta, constants=constants
     )
     ell_search = search_budget(2 * m, sp).total_units
     return ShadowParams(
@@ -162,11 +158,11 @@ def derive_params(
         epsilon=epsilon,
         delta=delta,
         q=q_eff,
-        beta=beta_eff,
+        beta=beta,
         t_bound=t_bound,
         ell_search=ell_search,
         k_pred=t_bound * q_eff * ell_search,
-        non_theoretical=(q_eff != q_star) or (beta_eff != beta_star),
+        non_theoretical=q_eff != q_star,
         dim_cap=dim_cap,
         constants=constants,
     )
@@ -345,7 +341,7 @@ def run_shadow_tomography(
             plus, minus = build_refinement_effects(e, v, params)
             candidates.append(plus)
             candidates.append(minus)
-        found = gentle_search(candidates, rho_source, sp, phase="search")
+        found = gentle_search(candidates, rho_source, sp)
         if not found.found:
             transcript = Transcript(tuple(steps), "no deviation detector confirmed", len(steps))
             consumed = rho_source.ledger.consumed - consumed_before

@@ -1,19 +1,23 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and every private
+module-level name in the package is read somewhere.
 
 No linter ships with the project, so this scans the sources with `ast`: an
 imported name counts as used when it appears as a name anywhere in the
-module, quoted annotations included.
+module, quoted annotations included. A private name (`_X = ...`, `def _f`,
+`class _C`) counts as read when it is loaded as a name or an attribute in
+the package or in `benchmarks/`, which reads `scenarios._THRESHOLDS`.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "shadowtomo").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "shadowtomo").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -36,15 +40,46 @@ def _annotations(tree: ast.Module):
             yield node.returns
 
 
-def _used(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _quoted_annotation_names(tree: ast.Module):
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             # a quoted annotation such as "CopyBatch" still names its type
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+                yield from (n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_quoted_annotation_names(tree))
     return used
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = [
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    reads = set(_quoted_annotation_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -53,3 +88,16 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@cache
+def _read_anywhere() -> frozenset[str]:
+    return frozenset().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in READERS))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    read = _read_anywhere()
+    defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+    assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"

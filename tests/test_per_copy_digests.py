@@ -1,9 +1,9 @@
-"""Golden digests of the per-copy collapse path.
+"""Golden digests of the per-copy collapse path and the classical hard family.
 
-Each case runs a shipped per-copy config through the CLI and pins the sha256
-of its `results.csv`. Any change to a per-copy outcome, to the order of its
-random draws or to the row layout fails here. A change that alters them on
-purpose must say so and update the digest.
+Each case runs a shipped config through the CLI and pins the sha256 of its
+`results.csv`. Any change to a per-copy outcome, to the subset family's
+repair, to the order of their random draws or to the row layout fails here.
+A change that alters them on purpose must say so and update the digest.
 """
 
 import hashlib
@@ -22,10 +22,27 @@ GOLDEN = [
      "bf2becf0a8d1b7f5c21848df22cf25421d1ff31091deedec304dfa9145be800b"),
 ]
 
+CLASSICAL_GOLDEN = [
+    ("classical", ["--set", "trials=40"],
+     "37184ccc9b188c0be8e99fc9df61cb092972449d06590741f553374154374673"),
+    ("lower-classical", [],
+     "fdedd676420af76f87a158253e38215c174819ee9f03efff89f0979d6f90f213"),
+]
+
+
+def _results_digest(config, overrides, out):
+    code = main(["run", "--config", str(CONFIGS / f"{config}.cfg"), *overrides, "--out-dir", str(out)])
+    assert code == 0
+    return hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("config, overrides, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_per_copy_results_digest_is_pinned(config, overrides, digest, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["run", "--config", str(CONFIGS / f"{config}.cfg"), *overrides, "--out-dir", str(out)])
-    assert code == 0
-    assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == digest
+    assert _results_digest(config, overrides, tmp_path / "out") == digest
+
+
+@pytest.mark.parametrize(
+    "config, overrides, digest", CLASSICAL_GOLDEN, ids=[g[0] for g in CLASSICAL_GOLDEN]
+)
+def test_classical_results_digest_is_pinned(config, overrides, digest, tmp_path, capsys):
+    assert _results_digest(config, overrides, tmp_path / "out") == digest

@@ -68,10 +68,6 @@ def test_derived_beta_reference_value():
 def test_derive_params_defaults_are_theoretical():
     p = derive_params(2, 8, 0.5, 0.1, q=4)
     assert p.non_theoretical  # explicit q override
-    # fully derived q would blow the cap at these settings, so only check
-    # the flag wiring on a beta override
-    p2 = derive_params(2, 8, 0.25, 0.1, q=8, beta=0.01)
-    assert p2.non_theoretical
 
 
 def test_derive_params_dimension_cap():

@@ -1,9 +1,11 @@
-"""Every span the benchmark tracer wraps is defined where the tracer looks.
+"""Every span and copy phase the benchmark tracer counts exists where the
+tracer looks.
 
 `benchmarks/tracer.py` resolves each span as `owner.__dict__[attr]`, so a
 traced method that moves into a base class, or a traced function that is
-renamed, breaks a traced benchmark run. This test loads the tracer by path
-and fails on such a span in the test suite instead.
+renamed, breaks a traced benchmark run. It also counts ledger debits under
+fixed phase names, so a renamed phase silently reads as zero copies. These
+tests load the tracer by path and fail on either in the test suite instead.
 """
 
 import importlib
@@ -12,17 +14,24 @@ from pathlib import Path
 
 import pytest
 
+from shadowtomo.instances import diagonal_gap_instance, or_promise_instance
+from shadowtomo.ledger import CopySource
+from shadowtomo.modes import FidelityMode
+from shadowtomo.rng import substream
+from shadowtomo.search import SearchParams, gentle_search
+from shadowtomo.shadow import run_promise_gap
+
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
 
-def _tracer_spans() -> list[str]:
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return sorted(module.SPANS)
+    return module
 
 
-@pytest.mark.parametrize("span", _tracer_spans())
+@pytest.mark.parametrize("span", sorted(_load_tracer().SPANS))
 def test_traced_span_is_defined_on_its_own_owner(span):
     module_name, *owner_path, attr = span.split(".")
     owner = importlib.import_module(f"shadowtomo.{module_name}")
@@ -30,3 +39,17 @@ def test_traced_span_is_defined_on_its_own_owner(span):
         owner = getattr(owner, part)
     assert attr in owner.__dict__, f"{span} is not defined on {owner.__name__} itself"
     assert callable(owner.__dict__[attr])
+
+
+def test_copy_phases_are_the_ones_the_search_and_gap_test_debit():
+    inst = or_promise_instance(2, 8, 0.95, 0.3, substream(0, 0))
+    search = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 1))
+    params = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
+    assert gentle_search(list(inst.effects), search, params).found  # so it reached verification
+    inst, cutoffs = diagonal_gap_instance(4, 8, 0.2, substream(1, 0))
+    gap = CopySource(inst.rho, FidelityMode.PER_COPY_COLLAPSE, substream(1, 1))
+    run_promise_gap(list(inst.effects), cutoffs, 0.2, 0.1, gap)
+    search_phases, gap_phases = set(search.ledger.attribution), set(gap.ledger.attribution)
+    assert search_phases == {"search-or", "search-verify"}
+    assert gap_phases == {"gap-test"}
+    assert search_phases | gap_phases == set(_load_tracer().COPY_PHASES)
