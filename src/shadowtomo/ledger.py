@@ -14,8 +14,14 @@ per-unit acceptance probability, keyed by object identity. This is sound
 because that mode never changes the hidden state, the state is immutable, and
 every Effect and ThresholdEffect is frozen: the same object always has the
 same acceptance. The memo only skips recomputation: every dispense still
-debits the ledger, and every measurement still checks its shape and draws its
-uniforms as before, so no random draw changes.
+debits the ledger, and every measurement still checks its shape and draws one
+uniform per outcome from the source's generator.
+
+An AnyOf over many units is drawn in one vectorized pass that consumes
+exactly the uniforms a unit-by-unit, member-by-member loop would, in the
+same order, so its outcomes and every later draw match that loop's. Only
+fresh mode measures an AnyOf: per-copy and exact batches raise
+ModeUnsupportedError on one.
 """
 
 from __future__ import annotations
@@ -25,9 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_DIM_CAP
-from .errors import BudgetExhaustedError, DimensionCapError, DimensionMismatchError
+from .errors import (
+    BudgetExhaustedError,
+    DimensionCapError,
+    DimensionMismatchError,
+    ModeUnsupportedError,
+)
 from .modes import FidelityMode
 from .quantum import (
+    AnyOf,
     DensityMatrix,
     Effect,
     Measurement,
@@ -157,6 +169,9 @@ class StatisticalBatch(CopyBatch):
     Every probability is read through the source's memo: with no tracked
     state, an immutable hidden state and frozen measurements, a measurement's
     acceptance is computed once per source. The memo changes no draw.
+
+    An AnyOf's units are independent rounds; `_any_of_outcomes` draws them
+    all at once, uniform for uniform as a round-by-round loop would.
     """
 
     def _unit_prob(self, m: Measurement) -> float:
@@ -169,12 +184,48 @@ class StatisticalBatch(CopyBatch):
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
+        if isinstance(m, AnyOf):
+            return bool(self._any_of_outcomes(m, 1)[0])
         return bool(self.source.rng.random() < self._unit_prob(m))
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         n_units = self._check_units(m)
+        if isinstance(m, AnyOf):
+            return self._any_of_outcomes(m, n_units)
         p = self._unit_prob(m)
         return self.source.rng.random(n_units) < p
+
+    def _any_of_outcomes(self, m: AnyOf, n_units: int) -> np.ndarray:
+        """Outcomes of `n_units` consecutive AnyOf units.
+
+        The reference is a loop that, unit by unit, draws one uniform per
+        member in order and stops at the first uniform below its member's
+        acceptance. Each unit starts where the previous one stopped, so this
+        draws the most uniforms the loop could use, finds for every start
+        position how many a unit starting there uses, hops from unit to unit
+        through those counts, then rewinds the generator and draws only the
+        uniforms the loop would have used, leaving it where the loop would.
+        """
+        if n_units == 0:
+            return np.zeros(0, dtype=bool)
+        probs = np.array([self._unit_prob(x) for x in m.members])
+        k = len(probs)
+        rng = self.source.rng
+        state = rng.bit_generator.state
+        u = rng.random(n_units * k)
+        # hits[s, i]: a unit starting at uniform s accepts at member i
+        hits = np.lib.stride_tricks.sliding_window_view(u, k) < probs
+        accepted = hits.any(axis=1)
+        used = np.where(accepted, hits.argmax(axis=1) + 1, k)
+        accepted, used = accepted.tolist(), used.tolist()
+        out = []
+        pos = 0
+        for _ in range(n_units):
+            out.append(accepted[pos])
+            pos += used[pos]
+        rng.bit_generator.state = state
+        rng.random(pos)
+        return np.array(out, dtype=bool)
 
     def measure_count(self, e: Effect) -> int:
         return int(self.source.rng.binomial(self.n_copies, self._unit_prob(e)))
@@ -233,6 +284,8 @@ class PerCopyBatch(CopyBatch):
         return accepts
 
     def _unit_outcomes(self, m: Measurement) -> np.ndarray:
+        if isinstance(m, AnyOf):
+            raise ModeUnsupportedError("per-copy mode measures an OR round member by member")
         leaf_accepts = self._measure_copies(leaf_effect(m), np.arange(self.n_copies))
         return threshold_outcomes(m, leaf_accepts)
 
@@ -289,6 +342,8 @@ class ExactBatch(CopyBatch):
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         n_units = self._check_units(m)
+        if isinstance(m, AnyOf):
+            raise ModeUnsupportedError("exact mode measures an OR round with a control qubit")
         w = unit_width(m)
         op = dense_operator(m, self.source.dim_cap)
         out = np.empty(n_units, dtype=bool)

@@ -24,6 +24,12 @@ decides between "some value >= c" (case_i) and "all values <= c - eps"
 worst-case accept rates (>= 1/8 versus <= 4/M). For small M the 4/M side of
 that separation is vacuous in theory; instances with real margins still
 decide correctly because the amplified tails collapse to 0/1 exponentially.
+
+In fresh_copy_statistical mode the rounds are independent, so a decision
+dispenses all rounds' blocks as one batch and measures an AnyOf of the
+amplified candidates once per block: one ledger debit and one vectorized
+draw, with the outcomes of a round-by-round loop. Per-copy and exact modes
+run the rounds one by one, since their blocks carry collapse.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .errors import DimensionCapError, DimensionMismatchError
 from .ledger import CopyBatch, CopySource
 from .modes import FidelityMode
 from .quantum import (
+    AnyOf,
     DensityMatrix,
     Measurement,
     ThresholdEffect,
@@ -191,9 +198,11 @@ def or_bound_decide(
     """Decide whether some effect accepts with probability >= c (case_i) or
     all accept with probability <= c - eps (case_ii).
 
-    Per round a fresh block of ell unit-copies is dispensed and the inner OR
-    test runs once on it; `None` entries are padding that never accepts and is
-    never selected. Consumes exactly ell * rounds * unit_width copies.
+    Per round a fresh block of ell unit-copies is used and the inner OR test
+    runs once on it; `None` entries are padding that never accepts and is
+    never selected. Consumes exactly ell * rounds * unit_width copies. In
+    fresh mode they are dispensed as one batch before the first round, so a
+    budget too small for the whole decision fails before any round runs.
     """
     live = [m for m in effects if m is not None]
     if not live:
@@ -209,32 +218,30 @@ def or_bound_decide(
     threshold = math.ceil((params.c - params.epsilon / 2.0) * ell - 1e-9)
     threshold = min(max(threshold, 0), ell + 1)
 
-    amplified = [None if m is None else _amplified(m, ell, threshold) for m in effects]
+    amplified = [_amplified(m, ell, threshold) for m in live]
 
-    accept_count = 0
-    for _ in range(rounds):
-        batch = rho_source.dispense(ell * w, phase)
-        if _inner_or_round(batch, amplified):
-            accept_count += 1
+    if rho_source.mode is FidelityMode.FRESH_COPY_STATISTICAL:
+        batch = rho_source.dispense(rounds * ell * w, phase)
+        accept_count = int(batch.measure_units(AnyOf(tuple(amplified))).sum())
+    else:
+        accept_count = 0
+        for _ in range(rounds):
+            batch = rho_source.dispense(ell * w, phase)
+            if _inner_or_round(batch, amplified):
+                accept_count += 1
 
     case = "case_i" if 16 * accept_count >= rounds else "case_ii"
     return OrDecision(case, accept_count, rounds, ell, threshold, ell * w * rounds)
 
 
-def _inner_or_round(batch: CopyBatch, amplified: list[ThresholdEffect | None]) -> bool:
+def _inner_or_round(batch: CopyBatch, amplified: list[ThresholdEffect]) -> bool:
     source = batch.source
-    if source.mode is not FidelityMode.EXACT_TENSOR:
-        # Sequential collective thresholds on the block. Fresh-copy batches
-        # sample each candidate independently at its exact product
-        # acceptance; per-copy batches collapse, so earlier rejections damage
-        # the block the later candidates see.
-        for m in amplified:
-            if m is not None and batch.measure_collective(m):
-                return True
-        return False
+    if source.mode is FidelityMode.PER_COPY_COLLAPSE:
+        # Sequential collective thresholds on the block; the block collapses,
+        # so earlier rejections damage the block the later candidates see.
+        return any(batch.measure_collective(m) for m in amplified)
     # exact_tensor: control-qubit OR test on the materialized joint block.
     joint = batch.as_density_matrix()
-    live = [m for m in amplified if m is not None]
-    accepted, post = controlled_or_test(live, joint, source.rng, cap=source.dim_cap)
+    accepted, post = controlled_or_test(amplified, joint, source.rng, cap=source.dim_cap)
     batch.set_state(post)
     return accepted

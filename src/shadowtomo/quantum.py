@@ -15,6 +15,10 @@ integer cutoff. Thresholds are allowed to sit one step outside [0, n]
 (at_least n+1, at_most -1): those encode the empty acceptance condition and
 materialize to the zero operator. They arise naturally when a refinement
 cutoff is pushed past a boundary and must never accept.
+
+An AnyOf applies several measurements of one unit width in order to the
+same block of copies and accepts at the first member that accepts: one
+round of a sequential OR test, as a measurement.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class Effect:
         return self.mat.shape[0]
 
 
-Measurement = Union[Effect, "ThresholdEffect"]
+Measurement = Union[Effect, "ThresholdEffect", "AnyOf"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,26 @@ class ThresholdEffect:
         if self.direction == "at_least":
             return self.threshold == self.registers + 1
         return self.threshold == -1
+
+
+@dataclass(frozen=True)
+class AnyOf:
+    """Apply `members` in order to the same block and accept at the first
+    member that accepts; later members are then not applied.
+
+    Every member spans the same number of copies, checked at construction
+    and read by `unit_width`.
+    """
+
+    members: tuple[Measurement, ...]
+    width: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        widths = {unit_width(m) for m in self.members}
+        if len(widths) != 1:
+            raise DimensionMismatchError("AnyOf needs one or more members of one unit width")
+        object.__setattr__(self, "width", widths.pop())
 
 
 def unit_width(m: Measurement) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from shadowtomo import linalg
-from shadowtomo.errors import BudgetExhaustedError, DimensionMismatchError
+from shadowtomo.errors import BudgetExhaustedError, DimensionMismatchError, ModeUnsupportedError
 from shadowtomo.instances import random_density, random_effect, random_projector
 from shadowtomo.ledger import (
     CopyLedger,
@@ -18,6 +18,7 @@ from shadowtomo.ledger import (
 from shadowtomo.modes import FidelityMode
 from shadowtomo.quantum import (
     DIRECTIONS,
+    AnyOf,
     DensityMatrix,
     Effect,
     ThresholdEffect,
@@ -479,3 +480,65 @@ def test_ledger_consumed_never_decreases_and_attribution_sums_to_it(mode, budget
         assert sum(src.ledger.attribution.values()) == src.ledger.consumed
         before = src.ledger.consumed
     assert budget is None or src.ledger.consumed <= budget
+
+
+def _or_rounds_loop(src, members, rounds):
+    """Reference for an AnyOf over `rounds` units: one block per round, the
+    members measured one by one on it until one accepts, `None` skipped."""
+    width = unit_width(next(m for m in members if m is not None))
+    outcomes = []
+    for _ in range(rounds):
+        batch = src.dispense(width, "x")
+        accepted = False
+        for m in members:
+            if m is not None and batch.measure_collective(m):
+                accepted = True
+                break
+        outcomes.append(accepted)
+    return np.array(outcomes, dtype=bool)
+
+
+_MEMBER_PROB = st.one_of(st.none(), st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**16),
+    st.lists(_MEMBER_PROB, min_size=1, max_size=16).filter(lambda ps: any(p is not None for p in ps)),
+    st.integers(1, 500),
+    st.booleans(),
+)
+def test_any_of_batch_draws_as_the_round_by_round_loop(seed, probs, rounds, nested):
+    # on |0><0| the effect diag(p, 0) accepts with probability exactly p; a
+    # nested member thresholds it over two registers
+    rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    members = [None if p is None else Effect(np.diag([p, 0.0]).astype(complex)) for p in probs]
+    if nested:
+        members = [None if m is None else ThresholdEffect(m, 2, 1, "at_least") for m in members]
+    any_of = AnyOf(tuple(m for m in members if m is not None))
+    src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
+    ref = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
+    got = src.dispense(rounds * unit_width(any_of), "x").measure_units(any_of)
+    np.testing.assert_array_equal(got, _or_rounds_loop(ref, members, rounds))
+    assert src.ledger.consumed == ref.ledger.consumed
+    assert src.rng.random() == ref.rng.random()  # the generator ends where the loop's does
+
+
+def test_any_of_needs_members_of_one_width_and_fresh_mode():
+    e = Effect(np.diag([0.5, 0.0]).astype(complex))
+    with pytest.raises(DimensionMismatchError):
+        AnyOf((e, ThresholdEffect(e, 2, 1, "at_least")))
+    with pytest.raises(DimensionMismatchError):
+        AnyOf(())
+    any_of = AnyOf([e, e])
+    assert unit_width(any_of) == 1 and any_of.members == (e, e)
+    fresh = CopySource(mixed_state(), FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 0))
+    assert fresh.dispense(0, "x").measure_units(any_of).shape == (0,)
+    certain = AnyOf((e, Effect(np.eye(2, dtype=complex))))
+    assert fresh.dispense(1, "x").measure_collective(certain)
+    for mode in (FidelityMode.PER_COPY_COLLAPSE, FidelityMode.EXACT_TENSOR):
+        batch = CopySource(mixed_state(), mode, substream(0, 0)).dispense(1, "x")
+        with pytest.raises(ModeUnsupportedError):
+            batch.measure_units(any_of)
+        with pytest.raises(ModeUnsupportedError):
+            batch.measure_collective(any_of)
