@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowtomo.errors import DimensionMismatchError
 from shadowtomo.linalg import (
@@ -87,6 +88,41 @@ def test_conjugate_each_register_matches_dense_oracle():
     expected = big @ state @ big.conj().T
     got = conjugate_each_register(state, u, d, q)
     assert np.allclose(got, expected, atol=1e-10)
+
+
+def _tensordot_conjugation(state, u, d, q):
+    """Register-by-register reference: one tensordot and axis move per
+    register and side."""
+    t = state.reshape((d,) * (2 * q))
+    for r in range(q):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [r])), 0, r)
+    uc = u.conj()
+    for r in range(q):
+        t = np.moveaxis(np.tensordot(uc, t, axes=([1], [q + r])), 0, q + r)
+    return t.reshape(d**q, d**q)
+
+
+def _dense_conjugation(state, u, q):
+    big = u
+    for _ in range(q - 1):
+        big = np.kron(big, u)
+    return big @ state @ big.conj().T
+
+
+_CONJUGATION_SHAPES = [(d, q) for d in (2, 3, 4) for q in range(1, 11) if d**q <= 1024]
+
+
+@pytest.mark.parametrize("d, q", _CONJUGATION_SHAPES)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16))
+def test_grouped_conjugation_matches_tensordot_and_dense_references(d, q, seed):
+    rng = substream(seed, 0)
+    dim = d**q
+    state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    got = conjugate_each_register(state, u, d, q)
+    for ref in (_tensordot_conjugation(state, u, d, q), _dense_conjugation(state, u, q)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_conjugate_each_register_q_one_is_plain_conjugation():
