@@ -310,7 +310,6 @@ def _trial_search(cfg: ScenarioConfig, trial: int):
     extras = {
         "found": res.found,
         "within_bound": res.copies_consumed <= bound,
-        "verified_mean": res.verified_mean,
         "planted_index": inst.metadata.get("planted_index"),
         "returned_index": res.index,
     }

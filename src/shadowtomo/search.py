@@ -6,9 +6,11 @@ degrades by alpha = eps/log2(M) per level, so descending the tree only
 weakens the promise additively. The candidate list is padded to a power of
 two with never-accepting entries, which cannot survive to be returned.
 
-After isolation, a verification step estimates the survivor's acceptance on
-fresh copies and returns not-found unless the empirical mean clears
-(c - eps) - gap/2 with gap = min(eps, c - eps). That fallback is the only
+After isolation, a verification step applies the survivor to n fresh units
+and returns not-found unless the accept count reaches the least t with
+t/n >= (c - eps) - gap/2, gap = min(eps, c - eps). It is one collective
+count-threshold measurement over the n units, the same form the gap test
+uses, so no empirical mean is ever formed. That fallback is the only
 defense the caller gets when the entry promise does not actually hold; under
 the promise it costs at most an extra beta of failure probability.
 
@@ -21,13 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DimensionMismatchError
 from .ledger import CopySource
 from .orbound import OrBoundParams, or_bound_decide
-from .quantum import Measurement, unit_width
+from .quantum import Measurement, ThresholdEffect, unit_width
 
 # ledger phases of the level OR decisions and of the final verification
 _OR_PHASE = "search-or"
@@ -66,7 +66,6 @@ class SearchResult:
     index: int | None
     level_bars: tuple[float, ...]
     copies_consumed: int
-    verified_mean: float
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,29 @@ def verification_size(beta: float, gap: float) -> int:
     return math.ceil(32.0 * math.log(1.0 / beta) / gap**2)
 
 
+def verification_threshold(n: int, bar: float, gap: float) -> int:
+    """Least accept count t in 0..n with t/n >= bar - gap/2, or n + 1 (never
+    accept) when no count reaches it. The comparison is the float one
+    `count / n >= bar - gap / 2`, so every count decides as that mean would."""
+    cut = bar - gap / 2.0
+    t = min(max(math.ceil(cut * n), 0), n + 1)
+    while t > 0 and (t - 1) / n >= cut:
+        t -= 1
+    while t <= n and t / n < cut:
+        t += 1
+    return t
+
+
 def verify_candidate(
     effect: Measurement,
     rho_source: CopySource,
     bar: float,
     gap: float,
     beta: float,
-) -> tuple[bool, float]:
-    """Estimate the effect's acceptance over fresh unit applications;
-    confirm iff the empirical mean reaches bar - gap/2.
+) -> bool:
+    """Apply the effect to n fresh units and confirm iff at least
+    verification_threshold(n, bar, gap) of them accept, as one collective
+    threshold measurement.
 
     Two-sided error <= beta whenever the true acceptance lies outside
     (bar - gap, bar).
@@ -106,11 +119,11 @@ def verify_candidate(
     if not 0.0 < gap <= bar:
         raise ValueError("need 0 < gap <= bar")
     n = verification_size(beta, gap)
-    w = unit_width(effect)
-    batch = rho_source.dispense(n * w, _VERIFY_PHASE)
-    outcomes = batch.measure_units(effect)
-    mean = float(np.mean(outcomes))
-    return mean >= bar - gap / 2.0, mean
+    t = verification_threshold(n, bar, gap)
+    batch = rho_source.dispense(n * unit_width(effect), _VERIFY_PHASE)
+    return batch.measure_collective(
+        ThresholdEffect(base=effect, registers=n, threshold=t, direction="at_least")
+    )
 
 
 def search_budget(m: int, params: SearchParams) -> SearchBudget:
@@ -192,8 +205,8 @@ def gentle_search(
     candidate = window[0]
     if candidate is None:
         consumed = rho_source.ledger.consumed - consumed_before
-        return SearchResult(False, None, tuple(bars), consumed, 0.0)
+        return SearchResult(False, None, tuple(bars), consumed)
 
-    ok, mean = verify_candidate(candidate, rho_source, bar_final, gap, beta)
+    ok = verify_candidate(candidate, rho_source, bar_final, gap, beta)
     consumed = rho_source.ledger.consumed - consumed_before
-    return SearchResult(ok, offset if ok else None, tuple(bars), consumed, mean)
+    return SearchResult(ok, offset if ok else None, tuple(bars), consumed)

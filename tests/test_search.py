@@ -1,10 +1,13 @@
 """Tests for the gentle binary search over candidate measurements."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shadowtomo import scenarios
 from shadowtomo.instances import or_promise_instance
 from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
@@ -16,8 +19,12 @@ from shadowtomo.search import (
     search_budget,
     search_copy_bound,
     verification_size,
+    verification_threshold,
     verify_candidate,
 )
+from shadowtomo.shadow import derive_params
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_level_params_padding_and_split():
@@ -76,13 +83,54 @@ def test_budget_within_copy_bound_at_reference_point():
 def test_verify_candidate_confirms_and_rejects():
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 0))
-    ok, mean = verify_candidate(identity_effect(2), src, 0.9, 0.4, 0.05)
-    assert ok and mean == 1.0
+    assert verify_candidate(identity_effect(2), src, 0.9, 0.4, 0.05)
     src2 = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 1))
     low = Effect(np.diag([0.1, 0.0]).astype(complex))
-    ok2, mean2 = verify_candidate(low, src2, 0.9, 0.4, 0.05)
-    assert not ok2
-    assert mean2 < 0.5
+    assert not verify_candidate(low, src2, 0.9, 0.4, 0.05)
+
+
+def _shipped_verification(config):
+    """(n, bar, gap) of the verification step a shipped config's search runs."""
+    cfg = scenarios.resolve(scenarios.load_config(CONFIGS / f"{config}.cfg"))
+    if cfg.scenario == "search":
+        sp, m = SearchParams(cfg.c, cfg.epsilon, cfg.delta, cfg.constants()), cfg.m
+    else:
+        d, m = (cfg.d, cfg.m) if cfg.scenario == "shadow" else (2**cfg.qubits, 4**cfg.qubits)
+        params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q, constants=cfg.constants(),
+                               dim_cap=cfg.dim_cap)
+        sp, m = params.search_params(), 2 * m
+    gap = min(sp.epsilon, sp.c - sp.epsilon)
+    return verification_size(sp.level_params(m)[2], gap), sp.c - sp.epsilon, gap
+
+
+def _assert_threshold_decides_as_the_mean(n, bar, gap):
+    counts = np.arange(n + 1)
+    t = verification_threshold(n, bar, gap)
+    np.testing.assert_array_equal(counts >= t, counts / n >= bar - gap / 2.0)
+
+
+@pytest.mark.parametrize("config", ["search", "shadow", "shadow-quick", "money-demo"])
+def test_verification_threshold_decides_every_shipped_count_as_the_mean(config):
+    _assert_threshold_decides_as_the_mean(*_shipped_verification(config))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5000),
+    st.floats(1e-3, 1.0),
+    st.floats(1e-3, 1.0),
+)
+def test_verification_threshold_decides_every_count_as_the_mean(n, bar, gap_share):
+    _assert_threshold_decides_as_the_mean(n, bar, bar * gap_share)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5000), st.floats(0.0, 1.0), st.floats(1e-3, 0.5))
+def test_verification_threshold_at_a_cut_within_rounding_of_a_count(n, share, gap):
+    # bar - gap/2 lands a few ulps either side of k/n, where cut * n rounds
+    # across the integer k
+    k = round(share * n)
+    _assert_threshold_decides_as_the_mean(n, k / n + gap / 2.0, gap)
 
 
 def test_gentle_search_finds_planted_candidate():

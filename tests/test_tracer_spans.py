@@ -1,19 +1,25 @@
 """Every span and copy phase the benchmark tracer counts exists where the
-tracer looks.
+tracer looks, and every workload reaches the spans it is expected to.
 
 `benchmarks/tracer.py` resolves each span as `owner.__dict__[attr]`, so a
 traced method that moves into a base class, or a traced function that is
 renamed, breaks a traced benchmark run. It also counts ledger debits under
-fixed phase names, so a renamed phase silently reads as zero copies. These
-tests load the tracer by path and fail on either in the test suite instead.
+fixed phase names, so a renamed phase silently reads as zero copies. And a
+traced run fails its coverage check when a workload stops calling one of
+its expected spans. These tests load the tracer and the benchmark runner by
+path and fail on any of these in the test suite instead.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from shadowtomo import scenarios
 from shadowtomo.instances import diagonal_gap_instance, or_promise_instance
 from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
@@ -21,14 +27,23 @@ from shadowtomo.rng import substream
 from shadowtomo.search import SearchParams, gentle_search
 from shadowtomo.shadow import run_promise_gap
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def _load(name, path, monkeypatch=None):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:  # dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("benchmark_tracer", TRACER)
 
 
 @pytest.mark.parametrize("span", sorted(_load_tracer().SPANS))
@@ -53,3 +68,16 @@ def test_copy_phases_are_the_ones_the_search_and_gap_test_debit():
     assert search_phases == {"search-or", "search-verify"}
     assert gap_phases == {"gap-test"}
     assert search_phases | gap_phases == set(_load_tracer().COPY_PHASES)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_trial_reaches_every_expected_span(workload, monkeypatch):
+    # run.py imports its tracer as a top-level module from its own directory
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    run = _load("benchmark_run", BENCHMARKS / "run.py", monkeypatch)
+    spec = run.WORKLOADS[workload]
+    cfg = scenarios.resolve(replace(scenarios.load_config(ROOT / spec.config), workers=1))
+    tracer = run.Tracer()
+    with tracer.installed():
+        scenarios.run_trial(cfg, 0)
+    tracer.check_coverage(spec.expected_spans)
