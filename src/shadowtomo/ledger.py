@@ -36,6 +36,7 @@ from .errors import (
     DimensionCapError,
     DimensionMismatchError,
     ModeUnsupportedError,
+    NotPSDError,
 )
 from .modes import FidelityMode
 from .quantum import (
@@ -269,8 +270,7 @@ class PerCopyBatch(CopyBatch):
         # a child is one (parent row, outcome) pair that some copy reaches
         children, child_of = np.unique(2 * local + accepts, return_inverse=True)
         parent, accepted = children // 2, children % 2 == 1
-        k_acc = linalg.herm_sqrt(np.asarray(e.mat))
-        k_rej = linalg.herm_sqrt(np.eye(e.dim) - np.asarray(e.mat))
+        k_acc, k_rej = _kraus_roots(np.asarray(e.mat))
         kraus = np.where(accepted[:, None, None], k_acc, k_rej)
         p = np.where(accepted, probs[parent], 1.0 - probs[parent])
         post = kraus @ mats[parent] @ kraus
@@ -299,6 +299,21 @@ class PerCopyBatch(CopyBatch):
 
     def measure_count(self, e: Effect) -> int:
         return int(self._measure_copies(e, np.arange(self.n_copies)).sum())
+
+
+def _kraus_roots(e: np.ndarray, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(E) and sqrt(I - E) from one eigendecomposition of E, which both
+    share. Raises NotPSDError as herm_sqrt would on either root: for an
+    eigenvalue of E below -atol or above 1 + atol."""
+    vals, vecs = linalg.eigh_spectrum(e)
+    if vals[0] < -atol:
+        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{atol:.1e}")
+    if vals[-1] > 1.0 + atol:
+        raise NotPSDError(f"eigenvalue {1.0 - vals[-1]:.3e} of I - E below -{atol:.1e}")
+    vh = vecs.conj().T
+    k_acc = linalg.hermitize((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vh)
+    k_rej = linalg.hermitize((vecs * np.sqrt(np.clip(1.0 - vals, 0.0, None))) @ vh)
+    return k_acc, k_rej
 
 
 class ExactBatch(CopyBatch):
