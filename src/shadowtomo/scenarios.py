@@ -19,7 +19,7 @@ from typing import Callable, get_args, get_type_hints
 import numpy as np
 
 from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP, Constants
-from .errors import ConfigError, IterationBoundExceededError, RejectionLimitError
+from .errors import ConfigError, IterationBoundExceededError
 from .hardness import (
     classical_estimate_all,
     gen_classical_hard_instance,
@@ -420,15 +420,7 @@ def _trial_gap(cfg: ScenarioConfig, trial: int):
 def _trial_classical(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     k_samples = math.ceil(8.0 * math.log(2.0 * cfg.k / cfg.delta) / cfg.epsilon**2)
-    try:
-        inst = gen_classical_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
-    except RejectionLimitError:
-        # instance generation is itself randomized; a rare miss fails the trial
-        row = TrialRow(
-            cfg.scenario, trial, cfg.seed, cfg.n, cfg.k, cfg.epsilon, cfg.delta,
-            cfg.mode, 0, k_samples, 1.0, False, 0,
-        )
-        return row, {"generation_failed": True}
+    inst = gen_classical_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
     samples = rng.choice(cfg.n, size=k_samples, p=inst.distributions[true_index])
     estimates = classical_estimate_all(samples, inst.masks)

@@ -336,6 +336,16 @@ def test_shadow_budget_exhaustion_raises_and_exits_3(tmp_path, capsys):
     assert "BudgetExhaustedError" in capsys.readouterr().err
 
 
+def test_classical_family_failure_exits_3_and_names_the_error(tmp_path, capsys):
+    # no family of 200 half-size subsets of 4 elements meets the overlap band
+    code = main(
+        ["run", "--config", str(CONFIGS / "classical.cfg"), "--set", "trials=1", "--set", "N=4",
+         "--set", "K=200", "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == 3
+    assert "RejectionLimitError: " in capsys.readouterr().err
+
+
 def test_iteration_bound_failure_names_its_reason(tmp_path, capsys):
     # c_t=0.001 caps the search count at 1, so both trials raise
     # IterationBoundExceededError and no transcript is ever checked
