@@ -330,8 +330,9 @@ def _markov_ok(transcript: Transcript, epsilon: float, tol: float = 1e-9) -> boo
     return True
 
 
-def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int):
-    rng = substream(cfg.seed, trial)
+def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, rng):
+    """One shadow run on `inst`; its copy source continues `rng`, the
+    generator the instance was drawn from."""
     params = derive_params(
         d,
         m,
@@ -383,7 +384,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int):
 def _trial_shadow(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     inst = projector_instance(cfg.d, cfg.m, rng)
-    return _shadow_style_trial(cfg, trial, inst, cfg.d, cfg.m)
+    return _shadow_style_trial(cfg, trial, inst, cfg.d, cfg.m, rng)
 
 
 def _trial_money(cfg: ScenarioConfig, trial: int):
@@ -391,7 +392,7 @@ def _trial_money(cfg: ScenarioConfig, trial: int):
     wiesner, inst = make_wiesner_instance(cfg.qubits, rng)
     d = 2**cfg.qubits
     m = 4**cfg.qubits
-    row, extras = _shadow_style_trial(cfg, trial, inst, d, m)
+    row, extras = _shadow_style_trial(cfg, trial, inst, d, m, rng)
     if "error" not in extras:
         idx = wiesner.true_key_index
         err = abs(extras["estimates"][idx] - inst.ground_truth[idx])
