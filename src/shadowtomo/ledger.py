@@ -170,9 +170,6 @@ class StatisticalBatch(CopyBatch):
     Every probability is read through the source's memo: with no tracked
     state, an immutable hidden state and frozen measurements, a measurement's
     acceptance is computed once per source. The memo changes no draw.
-
-    An AnyOf's units are independent rounds; `_any_of_outcomes` draws them
-    all at once, uniform for uniform as a round-by-round loop would.
     """
 
     def _unit_prob(self, m: Measurement) -> float:
