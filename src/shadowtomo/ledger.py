@@ -14,8 +14,8 @@ per-unit acceptance probability, keyed by object identity. This is sound
 because that mode never changes the hidden state, the state is immutable, and
 every Effect and ThresholdEffect is frozen: the same object always has the
 same acceptance. The memo only skips recomputation: every dispense still
-debits the ledger, and every measurement still checks its shape and draws one
-uniform per outcome from the source's generator.
+debits the ledger, and every measurement still checks its shape and draws
+its outcomes from the source's generator.
 
 An AnyOf over many units is drawn in one vectorized pass that consumes
 exactly the uniforms a unit-by-unit, member-by-member loop would, in the
