@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
+from .config import DEFAULT_CONSTANTS
 from .errors import ConfigError, ShadowTomoError
 from .scenarios import SCENARIOS, build_config, load_config_pairs, resolve, run_scenario
 
@@ -72,7 +73,7 @@ def _cmd_validate(args) -> int:
         value = getattr(cfg, f.name)
         if value is not None:
             print(f"  {f.name}={value}")
-    print(f"  constants={cfg.constants().as_dict()}")
+    print(f"  constants={DEFAULT_CONSTANTS.as_dict()}")
     return 0
 
 

@@ -1,4 +1,9 @@
-"""Package-wide numeric conventions and tunable constants.
+"""Package-wide numeric conventions and the pinned derived-parameter constants.
+
+The constants are fixed: no config key, flag or parameter overrides them, so
+a run's operating point follows from (D, M, eps, delta, q) alone. Editing
+them here moves every derived operating point (q*, the OR sizes, the
+iteration bound, the gap-test size and the search copy bound).
 
 All logarithms in derived-parameter formulas are natural logs unless a
 base-2 log is explicitly part of a formula (bit counting, entropy in bits).
@@ -22,7 +27,8 @@ POST_ARITHMETIC_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class Constants:
-    """Implementation-pinned constants for the derived-parameter formulas.
+    """The pinned multipliers of the derived-parameter formulas; every
+    formula reads them from DEFAULT_CONSTANTS, and summary.json echoes them.
 
     c_or      amplification register multiplier in the OR-bound test
     c_q       register-count multiplier for the refinement hypothesis

@@ -291,7 +291,9 @@ def identify_index_quantum(
     if per == 0:
         estimates = np.full(instance.k, 0.5)
     else:
-        truth = np.array([instance.acceptance(true_index, j) for j in range(instance.k)])
+        # Tr(P_j sigma_i) as in QuantumHardInstance.acceptance, with sigma_i built once
+        sigma = np.asarray(instance.sigma(true_index).mat)
+        truth = np.array([float(np.real(np.trace(pj @ sigma))) for pj in instance.projectors])
         counts = rng.binomial(per, np.clip(truth, 0.0, 1.0))
         estimates = counts / per
     guess = signature_guess(estimates, instance.epsilon)

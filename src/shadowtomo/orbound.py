@@ -35,11 +35,11 @@ run the rounds one by one, since their blocks carry collapse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP, Constants
+from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP
 from .errors import DimensionCapError, DimensionMismatchError
 from .ledger import CopyBatch, CopySource
 from .modes import FidelityMode
@@ -59,16 +59,13 @@ from . import linalg
 class OrBoundParams:
     """Inputs and derived sizes for the amplified OR decision.
 
-    ell and rounds may be overridden; when left None they derive as
+    The sizes always follow from the inputs:
     ell = ceil(c_or * ln(max(M, 2)) / eps^2), rounds = ceil(48 * ln(1/delta)).
     """
 
     c: float
     epsilon: float
     delta: float
-    ell: int | None = None
-    rounds: int | None = None
-    constants: Constants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= self.c <= 1.0:
@@ -77,13 +74,9 @@ class OrBoundParams:
             raise ValueError("delta must be in (0, 1)")
 
     def derived_ell(self, m: int) -> int:
-        if self.ell is not None:
-            return self.ell
-        return math.ceil(self.constants.c_or * math.log(max(m, 2)) / self.epsilon**2)
+        return math.ceil(DEFAULT_CONSTANTS.c_or * math.log(max(m, 2)) / self.epsilon**2)
 
     def derived_rounds(self) -> int:
-        if self.rounds is not None:
-            return self.rounds
         return math.ceil(48.0 * math.log(1.0 / self.delta))
 
 
@@ -214,9 +207,9 @@ def or_bound_decide(
     m_count = len(effects)
     ell = params.derived_ell(m_count)
     rounds = params.derived_rounds()
-    # ceil guarded against float products sitting a few ulps above an integer
+    # ceil guarded against float products sitting a few ulps above an integer;
+    # 0 < eps <= c <= 1 keeps it in 0..ell
     threshold = math.ceil((params.c - params.epsilon / 2.0) * ell - 1e-9)
-    threshold = min(max(threshold, 0), ell + 1)
 
     amplified = [_amplified(m, ell, threshold) for m in live]
 

@@ -18,7 +18,7 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
-from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP, Constants
+from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP
 from .errors import ConfigError, IterationBoundExceededError
 from .hardness import (
     classical_estimate_all,
@@ -80,27 +80,8 @@ class ScenarioConfig:
     low_cap: float | None = None
     dim_cap: int = DEFAULT_DIM_CAP
     budget: int | None = None
-    c_or: float | None = None
-    c_q: float | None = None
-    c_t: float | None = None
-    c_gap: float | None = None
-    c_search: float | None = None
     out_dir: str = "results"
     workers: int = 1
-
-    def constants(self) -> Constants:
-        base = DEFAULT_CONSTANTS
-
-        def pick(override, default):
-            return default if override is None else override
-
-        return Constants(
-            c_or=pick(self.c_or, base.c_or),
-            c_q=pick(self.c_q, base.c_q),
-            c_t=pick(self.c_t, base.c_t),
-            c_gap=pick(self.c_gap, base.c_gap),
-            c_search=pick(self.c_search, base.c_search),
-        )
 
 
 # Uppercase config-file spellings of dimension fields. Every other key is
@@ -187,10 +168,6 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"{name} must be in (0, 1)")
     if out.c is not None and not 0.0 < out.c <= 1.0:
         raise ConfigError("c must be in (0, 1]")
-    consts = out.constants()
-    for cname, cval in consts.as_dict().items():
-        if cval <= 0.0:
-            raise ConfigError(f"constant {cname} must be positive")
     if out.scenario == "gap" and mode is FidelityMode.FRESH_COPY_STATISTICAL:
         raise ConfigError("the gap scenario reuses damaged copies; use per-copy or exact mode")
     if out.scenario == "money-demo" and (out.qubits is None or out.qubits < 1):
@@ -255,9 +232,7 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int):
     planted = (cfg.planted_value if cfg.planted_value is not None else cfg.c) if truth == "case_i" else None
     inst = or_promise_instance(cfg.d, cfg.m, planted, cfg.low_cap, rng)
     source = _source(cfg, inst.rho, rng)
-    params = OrBoundParams(
-        c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta, constants=cfg.constants()
-    )
+    params = OrBoundParams(c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta)
     decision = or_bound_decide(list(inst.effects), source, params)
     predicted = decision.ell * decision.rounds
     success = decision.case == truth
@@ -290,11 +265,9 @@ def _trial_search(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     inst = or_promise_instance(cfg.d, cfg.m, cfg.planted_value, cfg.low_cap, rng)
     source = _source(cfg, inst.rho, rng)
-    sp = SearchParams(
-        c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta, constants=cfg.constants()
-    )
+    sp = SearchParams(c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta)
     res = gentle_search(list(inst.effects), source, sp)
-    bound = search_copy_bound(cfg.m, cfg.epsilon, cfg.delta, cfg.constants())
+    bound = search_copy_bound(cfg.m, cfg.epsilon, cfg.delta)
     floor_bar = cfg.c - cfg.epsilon
     if res.found:
         truth = inst.ground_truth[res.index]
@@ -333,15 +306,7 @@ def _markov_ok(transcript: Transcript, epsilon: float, tol: float = 1e-9) -> boo
 def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, rng):
     """One shadow run on `inst`; its copy source continues `rng`, the
     generator the instance was drawn from."""
-    params = derive_params(
-        d,
-        m,
-        cfg.epsilon,
-        cfg.delta,
-        q=cfg.q,
-        constants=cfg.constants(),
-        dim_cap=cfg.dim_cap,
-    )
+    params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q, dim_cap=cfg.dim_cap)
     source = _source(cfg, inst.rho, rng)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
     try:
@@ -405,12 +370,10 @@ def _trial_gap(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     inst, cutoffs = diagonal_gap_instance(cfg.d, cfg.m, cfg.epsilon, rng)
     source = _source(cfg, inst.rho, rng)
-    decisions = run_promise_gap(
-        list(inst.effects), cutoffs, cfg.epsilon, cfg.delta, source, cfg.constants(),
-    )
+    decisions = run_promise_gap(list(inst.effects), cutoffs, cfg.epsilon, cfg.delta, source)
     sides = inst.metadata["sides"]
     wrong = sum(1 for got, want in zip(decisions, sides) if got != want)
-    k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta, cfg.constants())
+    k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta)
     row = TrialRow(
         cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
         source.ledger.consumed, k, wrong / cfg.m, wrong == 0, cfg.m,
@@ -721,7 +684,7 @@ def run_scenario(
         "seed": cfg.seed,
         "mode": cfg.mode,
         "parameters": _parameters_echo(cfg),
-        "constants": cfg.constants().as_dict(),
+        "constants": DEFAULT_CONSTANTS.as_dict(),
         "aggregate": aggregate(rows),
         "thresholds": threshold_info,
         "thresholds_met": met,

@@ -21,9 +21,9 @@ for a total failure probability of at most delta + beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .config import DEFAULT_CONSTANTS, Constants
+from .config import DEFAULT_CONSTANTS
 from .errors import DimensionMismatchError
 from .ledger import CopySource
 from .orbound import OrBoundParams, or_bound_decide
@@ -42,7 +42,6 @@ class SearchParams:
     c: float
     epsilon: float
     delta: float
-    constants: Constants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.c <= 1.0:
@@ -138,9 +137,7 @@ def search_budget(m: int, params: SearchParams) -> SearchBudget:
     half = _next_pow2(m) // 2
     rounds = 0
     for k in range(levels):
-        p = OrBoundParams(
-            c=params.c - k * alpha, epsilon=alpha, delta=beta, constants=params.constants
-        )
+        p = OrBoundParams(c=params.c - k * alpha, epsilon=alpha, delta=beta)
         ells.append(p.derived_ell(half))
         rounds = p.derived_rounds()
         half //= 2
@@ -150,13 +147,11 @@ def search_budget(m: int, params: SearchParams) -> SearchBudget:
     return SearchBudget(levels, tuple(ells), rounds, verify_units, total)
 
 
-def search_copy_bound(
-    m: int, epsilon: float, delta: float, constants: Constants = DEFAULT_CONSTANTS
-) -> float:
+def search_copy_bound(m: int, epsilon: float, delta: float) -> float:
     """Recorded closed-form ceiling on search consumption for unit-width
     candidates: c_search * log2(M)^4 / eps^2 * (ln log2 M + ln 1/delta)."""
     lg = max(math.log2(max(m, 2)), 1.0)
-    return constants.c_search * lg**4 / epsilon**2 * (math.log(lg) + math.log(1.0 / delta))
+    return DEFAULT_CONSTANTS.c_search * lg**4 / epsilon**2 * (math.log(lg) + math.log(1.0 / delta))
 
 
 def gentle_search(
@@ -195,7 +190,7 @@ def gentle_search(
         if all(m is None for m in first):
             case = "case_ii"
         else:
-            or_params = OrBoundParams(c=bar, epsilon=alpha, delta=beta, constants=params.constants)
+            or_params = OrBoundParams(c=bar, epsilon=alpha, delta=beta)
             case = or_bound_decide(first, rho_source, or_params, phase=_OR_PHASE).case
         if case == "case_i":
             window = first

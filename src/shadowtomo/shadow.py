@@ -30,12 +30,12 @@ that direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP, Constants
+from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP
 from .errors import (
     DegeneratePostselectionError,
     DimensionCapError,
@@ -79,15 +79,9 @@ class ShadowParams:
     k_pred: int
     non_theoretical: bool
     dim_cap: int = DEFAULT_DIM_CAP
-    constants: Constants = field(default=DEFAULT_CONSTANTS)
 
     def search_params(self) -> SearchParams:
-        return SearchParams(
-            c=PROMISE_BAR,
-            epsilon=PROMISE_BAR - FIND_BAR,
-            delta=self.beta,
-            constants=self.constants,
-        )
+        return _refinement_search(self.beta)
 
     def as_dict(self) -> dict:
         return {
@@ -104,10 +98,15 @@ class ShadowParams:
         }
 
 
-def derived_q(d: int, epsilon: float, constants: Constants = DEFAULT_CONSTANTS) -> int:
+def _refinement_search(beta: float) -> SearchParams:
+    """The inner search every iteration runs: promise bar 5/6, find bar 2/3."""
+    return SearchParams(c=PROMISE_BAR, epsilon=PROMISE_BAR - FIND_BAR, delta=beta)
+
+
+def derived_q(d: int, epsilon: float) -> int:
     """ceil((C_q/eps^2) * (max(ln ln max(D,3), 1) + ln(1/eps)))."""
     lnln = max(math.log(math.log(max(d, 3))), 1.0)
-    return math.ceil(constants.c_q / epsilon**2 * (lnln + math.log(1.0 / epsilon)))
+    return math.ceil(DEFAULT_CONSTANTS.c_q / epsilon**2 * (lnln + math.log(1.0 / epsilon)))
 
 
 def derived_beta(d: int, epsilon: float, delta: float) -> float:
@@ -121,7 +120,6 @@ def derive_params(
     epsilon: float,
     delta: float,
     q: int | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ShadowParams:
     """Compute the full operating point from (D, M, eps, delta).
@@ -140,18 +138,15 @@ def derive_params(
         raise ValueError("epsilon must be in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    q_star = derived_q(d, epsilon, constants)
+    q_star = derived_q(d, epsilon)
     beta = derived_beta(d, epsilon, delta)
     q_eff = q_star if q is None else q
     if q_eff < 1:
         raise ValueError("q must be at least 1")
     if d**q_eff > dim_cap:
         raise DimensionCapError(d**q_eff, dim_cap, "amplified hypothesis")
-    t_bound = math.ceil(constants.c_t * q_eff * math.log(d) / epsilon)
-    sp = SearchParams(
-        c=PROMISE_BAR, epsilon=PROMISE_BAR - FIND_BAR, delta=beta, constants=constants
-    )
-    ell_search = search_budget(2 * m, sp).total_units
+    t_bound = math.ceil(DEFAULT_CONSTANTS.c_t * q_eff * math.log(d) / epsilon)
+    ell_search = search_budget(2 * m, _refinement_search(beta)).total_units
     return ShadowParams(
         d=d,
         m=m,
@@ -164,7 +159,6 @@ def derive_params(
         k_pred=t_bound * q_eff * ell_search,
         non_theoretical=q_eff != q_star,
         dim_cap=dim_cap,
-        constants=constants,
     )
 
 
@@ -369,11 +363,9 @@ def run_shadow_tomography(
     )
 
 
-def gap_test_size(
-    m: int, epsilon: float, delta: float, constants: Constants = DEFAULT_CONSTANTS
-) -> int:
+def gap_test_size(m: int, epsilon: float, delta: float) -> int:
     """k = ceil(C_gap * ln(M/delta) / eps^2), the shared copy count."""
-    return math.ceil(constants.c_gap * math.log(m / delta) / epsilon**2)
+    return math.ceil(DEFAULT_CONSTANTS.c_gap * math.log(m / delta) / epsilon**2)
 
 
 def run_promise_gap(
@@ -382,7 +374,6 @@ def run_promise_gap(
     epsilon: float,
     delta: float,
     rho_source: CopySource,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[str]:
     """Decide Tr(E_i rho) >= c_i versus <= c_i - eps for every i, reusing
     one block of k copies for all M decisions.
@@ -406,7 +397,7 @@ def run_promise_gap(
     for c in cutoffs:
         if not 0.0 < c <= 1.0:
             raise ValueError("cutoffs must be in (0, 1]")
-    k = gap_test_size(len(effects), epsilon, delta, constants)
+    k = gap_test_size(len(effects), epsilon, delta)
     batch = rho_source.dispense(k, "gap-test")
     decisions = []
     for e, c in zip(effects, cutoffs):

@@ -168,7 +168,7 @@ def test_gentle_search_reliability_and_copy_bound():
         / cfg.epsilon**2
         * (math.log(logm) + math.log(1.0 / cfg.delta))
     )
-    assert abs(search_copy_bound(cfg.m, cfg.epsilon, cfg.delta, cfg.constants()) - want) < 1e-9
+    assert abs(search_copy_bound(cfg.m, cfg.epsilon, cfg.delta) - want) < 1e-9
     print(f"PASS gentle search: {hits}/200 found a high acceptor (need >= 180), bound kept in all")
 
 
@@ -193,7 +193,7 @@ def test_shadow_tomography_end_to_end():
 def test_promise_gap_reliability():
     cfg, rows, extras = _run_rows("gap")
     assert cfg.trials == 200 and cfg.m == 16 and cfg.delta == 0.1
-    k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta, cfg.constants())
+    k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta)
     want = math.ceil(
         DEFAULT_CONSTANTS.c_gap * math.log(cfg.m / cfg.delta) / cfg.epsilon**2
     )

@@ -3,13 +3,14 @@ command-line interface."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shadowtomo import scenarios
+from shadowtomo import scenarios, shadow
 from shadowtomo.cli import main
 from shadowtomo.errors import BudgetExhaustedError, ConfigError
 from shadowtomo.results import (
@@ -96,6 +97,21 @@ def test_build_config_rejects_unknown_key():
     with pytest.raises(ConfigError) as exc:
         build_config({"scenario": "gap", "bogus": "1"})
     assert "bogus" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["c_or", "c_q", "c_t", "c_gap", "c_search"])
+def test_derived_parameter_constants_are_not_config_keys(key, tmp_path, capsys):
+    # the constants are pinned in config.py: a per-run value would move q*
+    # and the other derived sizes while non_theoretical still read False
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        build_config({"scenario": "shadow", key: "0.25"})
+    code = main(
+        ["run", "--config", str(CONFIGS / "shadow.cfg"), "--set", f"{key}=0.25",
+         "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_config_maps_uppercase_dimension_names():
@@ -346,13 +362,14 @@ def test_classical_family_failure_exits_3_and_names_the_error(tmp_path, capsys):
     assert "RejectionLimitError: " in capsys.readouterr().err
 
 
-def test_iteration_bound_failure_names_its_reason(tmp_path, capsys):
+def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch):
     # c_t=0.001 caps the search count at 1, so both trials raise
     # IterationBoundExceededError and no transcript is ever checked
+    monkeypatch.setattr(shadow, "DEFAULT_CONSTANTS", replace(shadow.DEFAULT_CONSTANTS, c_t=0.001))
     out = tmp_path / "out"
     code = main(
         ["run", "--config", str(CONFIGS / "shadow-quick.cfg"), "--set", "trials=2",
-         "--set", "c_t=0.001", "--out-dir", str(out)]
+         "--out-dir", str(out)]
     )
     assert code == 1
     printed = capsys.readouterr().out
@@ -362,8 +379,7 @@ def test_iteration_bound_failure_names_its_reason(tmp_path, capsys):
     assert thresholds["trials_unchecked"] == 2
     assert [e.split(":")[0] for e in thresholds["errors"]] == ["trial 0", "trial 1"]
     assert all("IterationBoundExceededError: " in e for e in thresholds["errors"])
-    cfg = resolve(build_config({**scenarios.load_config_pairs(CONFIGS / "shadow-quick.cfg"),
-                                "c_t": "0.001"}))
+    cfg = resolve(scenarios.load_config(CONFIGS / "shadow-quick.cfg"))
     _, extras = run_trial(cfg, 0)
     assert "error" in extras and "markov_ok" not in extras
 

@@ -1,11 +1,13 @@
-"""Every import in the package and its tests is used, and every private
-module-level name in the package is read somewhere.
+"""Every import in the package and its tests is used, every private
+module-level name in the package is read somewhere, and every parameter of a
+package function is read in its body.
 
 No linter ships with the project, so this scans the sources with `ast`: an
 imported name counts as used when it appears as a name anywhere in the
 module, quoted annotations included. A private name (`_X = ...`, `def _f`,
 `class _C`) counts as read when it is loaded as a name or an attribute in
 the package or in `benchmarks/`, which reads `scenarios._THRESHOLDS`.
+A parameter counts as read when its name is loaded anywhere in the body.
 """
 
 import ast
@@ -101,3 +103,44 @@ def test_no_unread_private_names(path):
     defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     unread = [f"{name} (line {line})" for name, line in defined.items() if name not in read]
     assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"
+
+
+# Signatures fixed from outside: argparse handlers and the checks that
+# Scenario.check calls all take the same arguments whether or not they use them.
+_FIXED_SIGNATURE_PREFIXES = ("_cmd_", "_check_")
+
+
+def _only_raises_not_implemented(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """An interface method such as CopyBatch.measure_collective."""
+    body = [
+        s for s in fn.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
+    ]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def _unread_parameters(tree: ast.Module):
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+            continue
+        if fn.name.startswith(_FIXED_SIGNATURE_PREFIXES) or _only_raises_not_implemented(fn):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        loaded = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for arg in params:
+            if arg.arg not in ("self", "cls") and arg.arg not in loaded:
+                yield f"{fn.name}({arg.arg}) (line {fn.lineno})"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    unread = list(_unread_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not unread, f"{path.name} has parameters its functions never read: {', '.join(unread)}"

@@ -33,13 +33,11 @@ def test_params_derived_ell_formula():
     # ceil(4 ln(max(M,2)) / eps^2), explicit at a few sizes
     assert p.derived_ell(8) == math.ceil(4.0 * math.log(8) / 0.25)
     assert p.derived_ell(1) == math.ceil(4.0 * math.log(2) / 0.25)
-    assert OrBoundParams(c=0.9, epsilon=0.5, delta=0.1, ell=7).derived_ell(8) == 7
 
 
 def test_params_derived_rounds_formula():
     p = OrBoundParams(c=0.9, epsilon=0.5, delta=0.1)
     assert p.derived_rounds() == math.ceil(48.0 * math.log(10.0))
-    assert OrBoundParams(c=0.9, epsilon=0.5, delta=0.1, rounds=11).derived_rounds() == 11
 
 
 def test_params_validation():
@@ -137,7 +135,8 @@ def test_or_bound_decide_exact_mode_runs_the_control_qubit_round(monkeypatch):
         return controlled_or_test(effects, rho, rng, cap)
 
     monkeypatch.setattr(orbound, "controlled_or_test", spy)
-    params = OrBoundParams(c=0.9, epsilon=0.5, delta=0.1, ell=3, rounds=8)
+    # at M=2: ell = ceil(4 ln 2) = 3 and rounds = ceil(48 ln(1/0.85)) = 8
+    params = OrBoundParams(c=1.0, epsilon=1.0, delta=0.85)
     rho = random_density(2, substream(15, 0))
     src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(15, 1))
     decision = or_bound_decide([zero_effect(2), zero_effect(2)], src, params)
@@ -178,9 +177,10 @@ def test_or_bound_decide_certain_effect_case_i():
 
 
 def test_or_bound_threshold_clamped_into_register_range():
-    # c - eps/2 above 1 would give threshold > ell; the builder must clamp
-    params = OrBoundParams(c=1.0, epsilon=0.1, delta=0.1, ell=3, rounds=8)
+    # 0 < eps <= c <= 1 keeps c - eps/2 in (0, 1), so the threshold
+    # ceil((c - eps/2) * ell) always lands in the register range 0..ell
+    params = OrBoundParams(c=1.0, epsilon=0.1, delta=0.1)
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(13, 0))
     decision = or_bound_decide([identity_effect(2)], src, params)
-    assert 0 <= decision.threshold <= 3 + 1
+    assert 0 <= decision.threshold <= decision.ell + 1

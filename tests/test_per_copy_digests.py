@@ -1,17 +1,22 @@
 """Golden digests of the per-copy collapse path and the classical hard family.
 
 Each case runs a shipped config through the CLI and pins the sha256 of its
-`results.csv`. Any change to a per-copy outcome, to the subset family's
-repair, to the order of their random draws or to the row layout fails here.
-A change that alters them on purpose must say so and update the digest.
+`results.csv`; lower-classical's rows hold nothing that depends on the sampled
+family, so its families are pinned on their own. Any change to a per-copy
+outcome, to the subset family's repair, to the order of their random draws
+or to the row layout fails here. A change that alters them on purpose must
+say so and update the digest.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shadowtomo.cli import main
+from shadowtomo.hardness import gen_classical_hard_instance
+from shadowtomo.rng import substream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,3 +51,13 @@ def test_per_copy_results_digest_is_pinned(config, overrides, digest, tmp_path, 
 )
 def test_classical_results_digest_is_pinned(config, overrides, digest, tmp_path, capsys):
     assert _results_digest(config, overrides, tmp_path / "out") == digest
+
+
+def test_lower_classical_families_are_pinned():
+    # lower-classical.cfg's N, K, eps and trial count, drawn first from each
+    # trial's substream as _trial_lower_classical draws them
+    h = hashlib.sha256()
+    for t in range(50):
+        inst = gen_classical_hard_instance(16, 8, 0.1, substream(0, t))
+        h.update(np.packbits(inst.masks).tobytes())
+    assert h.hexdigest() == "7225f5351a8bb7ba89464e5ce22727b5216e5c339bd3280769be28d5ba932d15"

@@ -93,11 +93,10 @@ def _shipped_verification(config):
     """(n, bar, gap) of the verification step a shipped config's search runs."""
     cfg = scenarios.resolve(scenarios.load_config(CONFIGS / f"{config}.cfg"))
     if cfg.scenario == "search":
-        sp, m = SearchParams(cfg.c, cfg.epsilon, cfg.delta, cfg.constants()), cfg.m
+        sp, m = SearchParams(cfg.c, cfg.epsilon, cfg.delta), cfg.m
     else:
         d, m = (cfg.d, cfg.m) if cfg.scenario == "shadow" else (2**cfg.qubits, 4**cfg.qubits)
-        params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q, constants=cfg.constants(),
-                               dim_cap=cfg.dim_cap)
+        params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q, dim_cap=cfg.dim_cap)
         sp, m = params.search_params(), 2 * m
     gap = min(sp.epsilon, sp.c - sp.epsilon)
     return verification_size(sp.level_params(m)[2], gap), sp.c - sp.epsilon, gap

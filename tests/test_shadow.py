@@ -78,9 +78,7 @@ def test_derive_params_dimension_cap():
 def test_derive_params_bookkeeping():
     # the inner search always runs at the fixed promise/find bars 5/6, 2/3
     p = small_params()
-    sp = SearchParams(
-        c=5.0 / 6.0, epsilon=5.0 / 6.0 - 2.0 / 3.0, delta=p.beta, constants=DEFAULT_CONSTANTS
-    )
+    sp = SearchParams(c=5.0 / 6.0, epsilon=5.0 / 6.0 - 2.0 / 3.0, delta=p.beta)
     assert p.ell_search == search_budget(2 * p.m, sp).total_units
     assert p.t_bound == math.ceil(
         DEFAULT_CONSTANTS.c_t * p.q * math.log(p.d) / p.epsilon
