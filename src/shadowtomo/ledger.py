@@ -6,9 +6,6 @@ with per-phase attribution and hands back a batch object whose only outputs
 are sampled measurement outcomes. Classical arithmetic on the algorithm's own
 hypothesis is free and never touches the ledger.
 
-The explicitly labeled ground-truth oracle on CopySource exists for
-validation and reporting only; production estimation paths must not call it.
-
 In fresh_copy_statistical mode a CopySource memoizes each measurement's
 per-unit acceptance probability, keyed by object identity. This is sound
 because that mode never changes the hidden state, the state is immutable, and
@@ -17,11 +14,15 @@ same acceptance. The memo only skips recomputation: every dispense still
 debits the ledger, and every measurement still checks its shape and draws
 its outcomes from the source's generator.
 
-An AnyOf over many units is drawn in one vectorized pass that consumes
-exactly the uniforms a unit-by-unit, member-by-member loop would, in the
-same order, so its outcomes and every later draw match that loop's. Only
-fresh mode measures an AnyOf: per-copy and exact batches raise
-ModeUnsupportedError on one.
+Each batch is the only code that knows how its mode realizes an OR round
+(an AnyOf); no joint state or probability leaves it. In fresh mode an AnyOf
+over many units is drawn in one vectorized pass that consumes exactly the
+uniforms a unit-by-unit, member-by-member loop would, in the same order, so
+its outcomes and every later draw match that loop's. Per-copy and exact
+batches measure one round at a time, with measure_collective: per-copy mode
+applies the members in order to its tracked copies until one accepts, and
+exact mode runs the control-qubit test on its joint state. They raise
+ModeUnsupportedError on an AnyOf passed to measure_units.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .quantum import (
     Measurement,
     accept_prob,
     collapse,
+    controlled_or_test,
     dense_operator,
     leaf_effect,
     threshold_accept_prob,
@@ -118,30 +120,37 @@ class CopySource:
             return PerCopyBatch(self, n_copies)
         return ExactBatch(self, n_copies)
 
-    def ground_truth_accept_prob(self, m: Measurement) -> float:
-        """VALIDATION ONLY: exact acceptance of `m` per unit, from the hidden
-        state. Never call this from an estimation algorithm."""
-        return threshold_accept_prob(m, accept_prob(leaf_effect(m), self._true_state))
-
 
 class CopyBatch:
     """A dispensed block of copies. Outcomes only; no probabilities leak out.
 
-    measure_collective  apply `m` once, spanning the whole batch
+    measure_collective  apply `m` once, spanning the whole batch; an AnyOf
+                        is one OR round, realized as the mode realizes it
     measure_units       apply `m` once per unit-width slice of the batch
     measure_count       apply a single-copy effect to every copy, return the
                         number of accepts
+
+    Every method raises DimensionMismatchError on a measurement whose span
+    does not fit the batch or whose single-copy effect does not match the
+    source's dimension.
     """
 
     def __init__(self, source: CopySource, n_copies: int):
         self.source = source
         self.n_copies = n_copies
 
+    def _check_leaves(self, m: Measurement) -> None:
+        for x in m.members if isinstance(m, AnyOf) else (m,):
+            dim = leaf_effect(x).dim
+            if dim != self.source.dim:
+                raise DimensionMismatchError(f"effect dim {dim} vs state dim {self.source.dim}")
+
     def _check_collective(self, m: Measurement) -> None:
         if unit_width(m) != self.n_copies:
             raise DimensionMismatchError(
                 f"measurement spans {unit_width(m)} copies, batch holds {self.n_copies}"
             )
+        self._check_leaves(m)
 
     def _check_units(self, m: Measurement) -> int:
         w = unit_width(m)
@@ -149,6 +158,7 @@ class CopyBatch:
             raise DimensionMismatchError(
                 f"batch of {self.n_copies} copies does not divide into units of {w}"
             )
+        self._check_leaves(m)
         return self.n_copies // w
 
     def measure_collective(self, m: Measurement) -> bool:
@@ -158,7 +168,7 @@ class CopyBatch:
         raise NotImplementedError
 
     def measure_count(self, e: Effect) -> int:
-        raise NotImplementedError
+        return int(self.measure_units(e).sum())
 
 
 class StatisticalBatch(CopyBatch):
@@ -235,7 +245,8 @@ class PerCopyBatch(CopyBatch):
     Every measurement collapses each copy once, in copy order, under its leaf
     effect; a threshold's outcomes are then counted level by level from
     those per-copy outcomes (`threshold_outcomes`), with no further quantum
-    step.
+    step. An OR round applies its members so, in order, until one accepts:
+    each rejection collapses the block the next member sees.
 
     Copies with the same outcome history share one stored state. Every copy
     starts in the hidden state, and a collapse is a deterministic function of
@@ -251,11 +262,6 @@ class PerCopyBatch(CopyBatch):
         # one distinct state to start with, none in an empty batch
         self._distinct = np.broadcast_to(source._true_state.mat, (min(n_copies, 1), d, d)).copy()
         self._row = np.zeros(n_copies, dtype=np.intp)
-
-    @property
-    def _states(self) -> np.ndarray:
-        """(n, d, d) per-copy states, expanded from the distinct ones."""
-        return self._distinct[self._row]
 
     def _measure_copies(self, e: Effect, idx: np.ndarray) -> np.ndarray:
         """Collapse every copy in `idx` under `e`; returns accept booleans."""
@@ -282,20 +288,18 @@ class PerCopyBatch(CopyBatch):
 
     def _unit_outcomes(self, m: Measurement) -> np.ndarray:
         if isinstance(m, AnyOf):
-            raise ModeUnsupportedError("per-copy mode measures an OR round member by member")
+            raise ModeUnsupportedError("per-copy mode measures one OR round per collective call")
         leaf_accepts = self._measure_copies(leaf_effect(m), np.arange(self.n_copies))
         return threshold_outcomes(m, leaf_accepts)
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
-        return bool(self._unit_outcomes(m)[0])
+        members = m.members if isinstance(m, AnyOf) else (m,)
+        return any(bool(self._unit_outcomes(x)[0]) for x in members)
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         self._check_units(m)
         return self._unit_outcomes(m)
-
-    def measure_count(self, e: Effect) -> int:
-        return int(self._measure_copies(e, np.arange(self.n_copies)).sum())
 
 
 def _kraus_roots(e: np.ndarray, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +323,9 @@ class ExactBatch(CopyBatch):
     Every measurement collapses the joint state unit by unit, in unit order,
     under the unit's dense operator embedded at its copies: a collective
     measurement is one unit spanning the batch, and a count is one unit per
-    copy. Dimension-capped."""
+    copy. An OR round is the control-qubit test (`controlled_or_test`) on
+    the joint state, which it leaves in the test's post state with the
+    control traced out. Dimension-capped."""
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
@@ -331,17 +337,6 @@ class ExactBatch(CopyBatch):
         else:
             self._joint = linalg.tensor_power(source._true_state.mat, n_copies, source.dim_cap)
 
-    def as_density_matrix(self) -> DensityMatrix:
-        """Current joint state of the batch (simulation substrate)."""
-        return DensityMatrix(self._joint, atol=POST_ARITHMETIC_ATOL)
-
-    def set_state(self, state: DensityMatrix) -> None:
-        """Write back a post-measurement joint state produced by a caller that
-        simulated its own measurement chain on as_density_matrix()."""
-        if state.dim != self._joint.shape[0]:
-            raise DimensionMismatchError("joint state dimension changed")
-        self._joint = np.asarray(state.mat).copy()
-
     def _embed(self, op: np.ndarray, offset_copies: int, span: int) -> np.ndarray:
         d = self.source.dim
         left = np.eye(d**offset_copies)
@@ -350,12 +345,19 @@ class ExactBatch(CopyBatch):
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
+        if isinstance(m, AnyOf):
+            joint = DensityMatrix(self._joint, atol=POST_ARITHMETIC_ATOL)
+            accepted, post = controlled_or_test(
+                list(m.members), joint, self.source.rng, cap=self.source.dim_cap
+            )
+            self._joint = post.mat
+            return accepted
         return bool(self.measure_units(m)[0])
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         n_units = self._check_units(m)
         if isinstance(m, AnyOf):
-            raise ModeUnsupportedError("exact mode measures an OR round with a control qubit")
+            raise ModeUnsupportedError("exact mode measures one OR round per collective call")
         w = unit_width(m)
         op = dense_operator(m, self.source.dim_cap)
         out = np.empty(n_units, dtype=bool)
@@ -365,8 +367,3 @@ class ExactBatch(CopyBatch):
             out[u] = self.source.rng.random() < p
             _, self._joint = collapse(self._joint, big, bool(out[u]))
         return out
-
-    def measure_count(self, e: Effect) -> int:
-        if e.dim != self.source.dim:
-            raise DimensionMismatchError("per-copy effect has wrong dimension")
-        return int(self.measure_units(e).sum())

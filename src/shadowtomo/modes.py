@@ -4,14 +4,16 @@ what a desk-scale simulation can afford to materialize.
 exact_tensor
     Joint states are materialized as dense matrices and every measurement is
     realized by the canonical two-outcome collapse on the joint, unit by
-    unit in unit order. Faithful to measurement back-action, but every
-    materialized dimension must stay within the configured cap.
+    unit in unit order. An OR round is the control-qubit test on the joint
+    state. Faithful to measurement back-action, but every materialized
+    dimension must stay within the configured cap.
 
 per_copy_collapse
     Copies are tracked individually. Every measurement collapses each copy
     once, in copy order, under the leaf effect of a (possibly nested)
     threshold; the threshold's outcome is then counted level by level from
-    those per-copy outcomes. Copies with the same outcome history share one
+    those per-copy outcomes. An OR round applies its members so, in order,
+    until one accepts. Copies with the same outcome history share one
     stored state, so a block costs one collapse per distinct history, not
     per copy. Honest about per-copy damage, never materializes a joint
     state, but cannot represent coherence across registers (for
@@ -22,7 +24,12 @@ fresh_copy_statistical
     sampled from their exact Binomial statistics, and repeated measurements
     are sampled independently, i.e. back-action is idealized away. Collective
     threshold acceptance on a product state is exact in this mode; only
-    cross-measurement damage is ignored.
+    cross-measurement damage is ignored. An OR round applies its members in
+    order until one accepts, each an independent draw, and many rounds are
+    drawn in one vectorized pass.
+
+Each mode's realization lives in its copy batch (ledger.py) and nowhere
+else: algorithms hand a batch a measurement and read back outcomes.
 """
 
 from enum import Enum

@@ -16,9 +16,17 @@ integer cutoff. Thresholds are allowed to sit one step outside [0, n]
 materialize to the zero operator. They arise naturally when a refinement
 cutoff is pushed past a boundary and must never accept.
 
-An AnyOf applies several measurements of one unit width in order to the
-same block of copies and accepts at the first member that accepts: one
-round of a sequential OR test, as a measurement.
+An AnyOf is one round of an OR test over several measurements of one unit
+width, as a measurement on one block of copies. How a round is realized is
+the fidelity mode's business (see AnyOf).
+
+The control-qubit OR test (Harrow, Lin and Montanaro, arXiv 1607.03236)
+entangles an ancilla prepared in (|0> + |1>)/sqrt(2) with the state, applies
+each effect conditioned on the ancilla being |1>, and checks the ancilla in
+the +/- basis after each one: a rejected conditional measurement that still
+dephased the ancilla is itself evidence that some effect fires. Its
+completeness/soundness constants are what the amplified OR decision relies
+on; controlled_or_accept_prob computes its exact acceptance for reference.
 """
 
 from __future__ import annotations
@@ -134,8 +142,14 @@ class ThresholdEffect:
 
 @dataclass(frozen=True)
 class AnyOf:
-    """Apply `members` in order to the same block and accept at the first
-    member that accepts; later members are then not applied.
+    """One OR round over `members` on the same block of copies.
+
+    Each fidelity mode realizes the round its own way: fresh mode applies
+    the members in order and accepts at the first that accepts, later
+    members then not applied; per-copy mode does the same on its tracked
+    copies, so each rejection collapses the block the next member sees;
+    exact mode runs the control-qubit test (`controlled_or_test`) on the
+    block's joint state.
 
     Every member spans the same number of copies, checked at construction
     and read by `unit_width`.
@@ -361,3 +375,81 @@ def threshold_diagonal_values(
     else:
         mask = counts <= threshold
     return table[:, mask].sum(axis=1)
+
+
+_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
+_ONE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+
+
+def _conditional_ops(
+    effects: list[Measurement], dim: int, cap: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each effect conditioned on the control being |1>, and the projector
+    onto the control's |+> state, all on the control-extended space."""
+    if 2 * dim > cap:
+        raise DimensionCapError(2 * dim, cap, "control-extended state")
+    ops = []
+    for m in effects:
+        op = dense_operator(m, cap)
+        if op.shape[0] != dim:
+            raise DimensionMismatchError("effect dimension does not match the state")
+        ops.append(np.kron(_ONE, op))
+    return ops, np.kron(_PLUS, np.eye(dim))
+
+
+def controlled_or_test(
+    effects: list[Measurement],
+    rho: DensityMatrix,
+    rng: np.random.Generator,
+    cap: int = DEFAULT_DIM_CAP,
+) -> tuple[bool, DensityMatrix]:
+    """Single-copy OR test with a control qubit; returns (accepted, post
+    state of the register with the control traced out).
+
+    Accepts when some conditional measurement accepts or a +/- check after
+    it finds the control decohered.
+    """
+    dim = rho.dim
+    ops, plus_proj = _conditional_ops(effects, dim, cap)
+    state = np.kron(_PLUS, rho.mat)
+    accepted = False
+    for a in ops:
+        p_acc = min(1.0, max(0.0, float(np.real(np.trace(a @ state)))))
+        if rng.random() < p_acc:
+            _, state = collapse(state, a, True)
+            accepted = True
+            break
+        _, state = collapse(state, a, False)
+        p_plus = min(1.0, max(0.0, float(np.real(np.trace(plus_proj @ state)))))
+        if rng.random() >= p_plus:
+            _, state = collapse(state, np.eye(2 * dim) - plus_proj, True)
+            accepted = True
+            break
+        _, state = collapse(state, plus_proj, True)
+
+    post = DensityMatrix(_trace_out_control(state, dim), atol=1e-6)
+    return accepted, post
+
+
+def controlled_or_accept_prob(
+    effects: list[Measurement], rho: DensityMatrix, cap: int = DEFAULT_DIM_CAP
+) -> float:
+    """Exact acceptance probability of controlled_or_test, the reference its
+    sampled outcomes are checked against.
+
+    Unnormalized survival walk: reject every conditional measurement and
+    observe + at every control check. Acceptance = 1 - final trace.
+    """
+    dim = rho.dim
+    ops, plus_proj = _conditional_ops(effects, dim, cap)
+    surv = np.kron(_PLUS, rho.mat)
+    for a in ops:
+        k = linalg.herm_sqrt(np.eye(2 * dim) - a)
+        surv = k @ surv @ k
+        surv = plus_proj @ surv @ plus_proj
+    return min(1.0, max(0.0, 1.0 - float(np.real(np.trace(surv)))))
+
+
+def _trace_out_control(joint: np.ndarray, dim: int) -> np.ndarray:
+    t = joint.reshape(2, dim, 2, dim)
+    return np.einsum("aiaj->ij", t)

@@ -20,7 +20,6 @@ from shadowtomo.hardness import (
 )
 from shadowtomo.instances import near_certain_effect, random_density, random_effect
 from shadowtomo.linalg import tensor_power, trace_distance
-from shadowtomo.orbound import controlled_or_accept_prob
 from shadowtomo.quantum import (
     DensityMatrix,
     Effect,
@@ -28,6 +27,7 @@ from shadowtomo.quantum import (
     accept_prob,
     apply_effect,
     binomial_tail,
+    controlled_or_accept_prob,
     materialize_threshold,
     sequential_accept_all,
 )

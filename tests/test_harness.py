@@ -13,6 +13,8 @@ import pytest
 from shadowtomo import scenarios, shadow
 from shadowtomo.cli import main
 from shadowtomo.errors import BudgetExhaustedError, ConfigError
+from shadowtomo.money import make_wiesner_instance
+from shadowtomo.quantum import accept_prob
 from shadowtomo.results import (
     CSV_HEADER,
     TrialRow,
@@ -31,6 +33,7 @@ from shadowtomo.scenarios import (
     run_scenario,
     run_trial,
 )
+from shadowtomo.rng import substream
 from shadowtomo.shadow import ShadowRun, Transcript
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -385,15 +388,18 @@ def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch)
 
 
 def test_money_true_key_check_reads_the_minted_key(monkeypatch):
+    cfg = resolve(ScenarioConfig(scenario="money-demo", trials=1))
+    _, inst = make_wiesner_instance(cfg.qubits, substream(cfg.seed, 0))
+
     def fake_run(effects, source, params):
-        truth = np.array([source.ground_truth_accept_prob(e) for e in effects])
+        truth = np.array([accept_prob(e, inst.rho) for e in effects])
         estimates = truth.copy()
         # the minted key accepts with certainty, so the least-accepted key is another one
         estimates[int(np.argmin(truth))] += 0.5
         return ShadowRun(estimates, Transcript((), "no deviation detector confirmed", 0), 0, 1.0)
 
     monkeypatch.setattr(scenarios, "run_shadow_tomography", fake_run)
-    row, extras = run_trial(resolve(ScenarioConfig(scenario="money-demo", trials=1)), 0)
+    row, extras = run_trial(cfg, 0)
     assert row.max_error == pytest.approx(0.5)
     assert extras["true_key_within_eps"]
 

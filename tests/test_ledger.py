@@ -8,7 +8,9 @@ from scipy.stats import chi2_contingency
 from shadowtomo import linalg
 from shadowtomo.errors import BudgetExhaustedError, DimensionMismatchError, ModeUnsupportedError
 from shadowtomo.instances import random_density, random_effect, random_projector
+from shadowtomo.config import POST_ARITHMETIC_ATOL
 from shadowtomo.ledger import (
+    CopyBatch,
     CopyLedger,
     CopySource,
     ExactBatch,
@@ -24,6 +26,7 @@ from shadowtomo.quantum import (
     ThresholdEffect,
     accept_prob,
     collapse,
+    controlled_or_test,
     leaf_effect,
     materialize_threshold,
     threshold_accept_prob,
@@ -90,12 +93,24 @@ def test_source_properties():
     assert src.dim == 4
 
 
-def test_ground_truth_accept_prob_matches_trace():
-    rng = substream(3, 0)
-    rho = random_density(2, rng)
-    e = random_effect(2, rng)
-    src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(3, 1))
-    assert abs(src.ground_truth_accept_prob(e) - accept_prob(e, rho)) < 1e-12
+_MEASURE = {"measure_collective", "measure_units", "measure_count"}
+
+
+def _public(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_sources_and_batches_expose_only_dispensing_and_measurement():
+    # A source shows its mode, generator, ledger, cap and dimension and
+    # dispenses; a batch shows its size and source and measures. Nothing
+    # else, so no state or probability can be read around the outcomes.
+    assert _public(CopyBatch) == _MEASURE
+    for mode in FidelityMode:
+        src = CopySource(mixed_state(), mode, substream(0, 0))
+        assert _public(src) == {"dim", "dim_cap", "dispense", "ledger", "mode", "rng"}
+        batch = src.dispense(1, "x")
+        assert _public(type(batch)) == _MEASURE
+        assert _public(batch) == _MEASURE | {"n_copies", "source"}
 
 
 def test_statistical_batch_count_is_binomial_and_deterministic():
@@ -118,7 +133,7 @@ def test_statistical_units_match_threshold_probability():
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(5, 1))
     outs = src.dispense(3 * 4000, "x").measure_units(te)
     assert outs.shape == (4000,)
-    p = src.ground_truth_accept_prob(te)
+    p = threshold_accept_prob(te, accept_prob(e, rho))
     assert abs(outs.mean() - p) < 0.04
 
 
@@ -297,7 +312,7 @@ def test_per_copy_outcomes_and_states_match_copy_by_copy_walk(d, data):
         want = _ref_per_copy(ref, op, m)
         assert type(got) is type(want)
         np.testing.assert_array_equal(got, want)
-        assert batch._states.tobytes() == ref._states.tobytes()
+        assert batch._distinct[batch._row].tobytes() == ref._distinct[ref._row].tobytes()
     assert batch.source.rng.random() == ref.source.rng.random()
 
 
@@ -317,10 +332,14 @@ def test_exact_outcomes_and_joint_match_dense_loop(d, data):
     assert batch.source.rng.random() == ref.source.rng.random()
 
 
-def test_exact_count_rejects_wrong_dimension():
-    batch = CopySource(mixed_state(2), FidelityMode.EXACT_TENSOR, substream(10, 0)).dispense(2, "x")
+@pytest.mark.parametrize("op", ["collective", "units", "count"])
+@pytest.mark.parametrize("mode", list(FidelityMode))
+def test_wrong_dimension_effect_is_rejected(mode, op):
+    batch = CopySource(mixed_state(2), mode, substream(10, 0)).dispense(2, "x")
+    e = Effect(np.eye(3, dtype=complex))
+    m = ThresholdEffect(e, 2, 1, "at_least") if op == "collective" else e
     with pytest.raises(DimensionMismatchError):
-        batch.measure_count(Effect(np.eye(3, dtype=complex)))
+        getattr(batch, "measure_" + op)(m)
 
 
 def test_exact_batch_collective_probability_is_exact():
@@ -330,7 +349,7 @@ def test_exact_batch_collective_probability_is_exact():
     rho = random_density(2, rng)
     e = random_projector(2, 1, rng)
     te = ThresholdEffect(e, 2, 2, "at_least")
-    p_true = None
+    p_true = threshold_accept_prob(te, accept_prob(e, rho))
     hits = 0
     n = 800
     src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(8, 1))
@@ -338,8 +357,6 @@ def test_exact_batch_collective_probability_is_exact():
         batch = src.dispense(2, "x")
         if batch.measure_collective(te):
             hits += 1
-        if p_true is None:
-            p_true = src.ground_truth_accept_prob(te)
     assert abs(hits / n - p_true) < 0.06
 
 
@@ -392,7 +409,7 @@ def test_per_copy_kernel_matches_copy_stack_einsum(d, n, data):
         got = batch._measure_copies(effects[which], idx)
         want = _ref_measure_copies(ref_states, ref_rng, effects[which], idx)
         np.testing.assert_array_equal(got, want)
-        assert np.max(np.abs(batch._states - ref_states), initial=0.0) <= 1e-12
+        assert np.max(np.abs(batch._distinct[batch._row] - ref_states), initial=0.0) <= 1e-12
     assert batch.source.rng.random() == ref_rng.random()
 
 
@@ -423,7 +440,7 @@ def test_per_copy_storage_is_one_row_per_outcome_history(d, n, data):
         assert len(batch._distinct) == len(first_copy) <= min(n, bound)
         for c, h in enumerate(histories):
             assert batch._row[c] == batch._row[first_copy[h]]
-    assert batch._states.shape == (n, d, d)
+    assert batch._distinct[batch._row].shape == (n, d, d)
 
 
 @pytest.mark.parametrize("n_copies", [2, 3])
@@ -524,6 +541,59 @@ def test_any_of_batch_draws_as_the_round_by_round_loop(seed, probs, rounds, nest
     assert src.rng.random() == ref.rng.random()  # the generator ends where the loop's does
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.integers(1, 12), st.data())
+def test_per_copy_any_of_draws_as_the_round_by_round_loop(d, rounds, data):
+    # members of one register count, as in an OR decision; within a round
+    # each rejection collapses the block the next member sees
+    seed = data.draw(st.integers(0, 2**16))
+    rng = substream(seed, 0)
+    rho = random_density(d, rng)
+    leaves = [random_effect(d, rng) for _ in range(3)]
+    n = data.draw(st.integers(1, 4))
+    member = st.tuples(st.integers(0, 2), st.integers(0, n + 1))
+    specs = data.draw(
+        st.lists(st.one_of(st.none(), member), min_size=1, max_size=6).filter(
+            lambda ms: any(m is not None for m in ms)
+        )
+    )
+    members = [None if m is None else ThresholdEffect(leaves[m[0]], n, m[1], "at_least") for m in specs]
+    any_of = AnyOf(tuple(m for m in members if m is not None))
+    src = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 1))
+    ref = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 1))
+    got = [src.dispense(n, "x").measure_collective(any_of) for _ in range(rounds)]
+    assert all(type(g) is bool for g in got)
+    np.testing.assert_array_equal(np.array(got), _or_rounds_loop(ref, members, rounds))
+    assert src.ledger.consumed == ref.ledger.consumed
+    assert src.rng.random() == ref.rng.random()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_exact_any_of_is_the_control_qubit_test_on_the_joint(n, rounds, data):
+    # repeated rounds on one block: each starts from the last one's post state
+    seed = data.draw(st.integers(0, 2**16))
+    rng = substream(seed, 0)
+    rho = random_density(2, rng)
+    leaves = [random_effect(2, rng) for _ in range(3)]
+    specs = data.draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, n + 1)), min_size=1, max_size=4)
+    )
+    any_of = AnyOf(tuple(ThresholdEffect(leaves[i], n, t, "at_least") for i, t in specs))
+    batch = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(seed, 1)).dispense(n, "x")
+    ref_rng = substream(seed, 1)
+    joint = linalg.tensor_power(rho.mat, n)
+    for _ in range(rounds):
+        got = batch.measure_collective(any_of)
+        want, post = controlled_or_test(
+            list(any_of.members), DensityMatrix(joint, atol=POST_ARITHMETIC_ATOL), ref_rng
+        )
+        joint = post.mat
+        assert type(got) is bool and got == want
+        assert batch._joint.tobytes() == joint.tobytes()
+    assert batch.source.rng.random() == ref_rng.random()
+
+
 def test_any_of_needs_members_of_one_width_and_fresh_mode():
     e = Effect(np.diag([0.5, 0.0]).astype(complex))
     with pytest.raises(DimensionMismatchError):
@@ -540,5 +610,3 @@ def test_any_of_needs_members_of_one_width_and_fresh_mode():
         batch = CopySource(mixed_state(), mode, substream(0, 0)).dispense(1, "x")
         with pytest.raises(ModeUnsupportedError):
             batch.measure_units(any_of)
-        with pytest.raises(ModeUnsupportedError):
-            batch.measure_collective(any_of)

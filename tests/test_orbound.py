@@ -5,22 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from shadowtomo import orbound
+from shadowtomo import ledger
 from shadowtomo.instances import or_promise_instance, random_density, random_effect
 from shadowtomo.ledger import CopySource
 from shadowtomo.linalg import tensor_power
 from shadowtomo.modes import FidelityMode
-from shadowtomo.orbound import (
-    OrBoundParams,
-    controlled_or_accept_prob,
-    controlled_or_test,
-    or_bound_decide,
-    random_order_or_test,
-)
+from shadowtomo.orbound import OrBoundParams, or_bound_decide, random_order_or_test
 from shadowtomo.quantum import (
     DensityMatrix,
     ThresholdEffect,
     accept_prob,
+    controlled_or_accept_prob,
+    controlled_or_test,
     identity_effect,
     materialize_threshold,
     zero_effect,
@@ -134,7 +130,7 @@ def test_or_bound_decide_exact_mode_runs_the_control_qubit_round(monkeypatch):
         rounds_run.append(rho.dim)
         return controlled_or_test(effects, rho, rng, cap)
 
-    monkeypatch.setattr(orbound, "controlled_or_test", spy)
+    monkeypatch.setattr(ledger, "controlled_or_test", spy)
     # at M=2: ell = ceil(4 ln 2) = 3 and rounds = ceil(48 ln(1/0.85)) = 8
     params = OrBoundParams(c=1.0, epsilon=1.0, delta=0.85)
     rho = random_density(2, substream(15, 0))
