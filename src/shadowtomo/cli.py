@@ -6,7 +6,9 @@
 
 Override precedence, weakest first: config file, SHADOWTOMO_SEED environment
 variable, --set flags (with --out-dir / --workers acting as --set shorthand).
-`run` exits 0 only when the scenario's acceptance thresholds are met.
+`run` exits 0 only when the scenario's acceptance thresholds are met, 1 when
+they are not, 2 on a config error, and 3 when a run raises: a package error,
+or a ValueError from a value the scenario cannot use.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ def _cmd_run(args) -> int:
     )
     for key, value in outcome.summary["thresholds"].items():
         print(f"  {key}: {value}")
-    if outcome.csv_path is not None:
-        print(f"  wrote {outcome.csv_path} and {outcome.summary_path}")
+    print(f"  wrote {outcome.csv_path} and {outcome.summary_path}")
     print(f"thresholds {'met' if outcome.thresholds_met else 'NOT met'}")
     return 0 if outcome.thresholds_met else 1
 
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ShadowTomoError as exc:
+    except (ShadowTomoError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -24,6 +24,10 @@ CONSTRUCTION_ATOL = 1e-10
 # (postselection, repeated collapse).
 POST_ARITHMETIC_ATOL = 1e-8
 
+# Operator square roots clamp eigenvalues in [-PSD_ROOT_ATOL, 0) to zero as
+# floating-point drift and raise NotPSDError on anything lower.
+PSD_ROOT_ATOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Constants:

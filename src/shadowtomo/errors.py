@@ -6,16 +6,16 @@ class ShadowTomoError(Exception):
 
 
 class DimensionCapError(ShadowTomoError):
-    """A tensor construction would exceed the configured dimension cap."""
+    """A dense construction would exceed the package's dimension cap."""
 
-    def __init__(self, requested: int, cap: int, what: str = "tensor product"):
+    def __init__(self, requested: int, limit: int, what: str):
         self.requested = requested
-        self.cap = cap
+        self.limit = limit
         self.what = what
-        super().__init__(f"{what} of dimension {requested} exceeds cap {cap}")
+        super().__init__(f"{what} of dimension {requested} exceeds cap {limit}")
 
     def __reduce__(self):  # a trial worker sends its error back pickled
-        return type(self), (self.requested, self.cap, self.what)
+        return type(self), (self.requested, self.limit, self.what)
 
 
 class DimensionMismatchError(ShadowTomoError):

@@ -28,7 +28,8 @@ import numpy as np
 from .config import CONSTRUCTION_ATOL
 from .errors import RejectionLimitError
 from .instances import haar_isometry
-from .quantum import DensityMatrix
+from .ledger import CopySource
+from .quantum import DensityMatrix, Effect
 
 REJECTION_ATTEMPT_LIMIT = 10**4
 
@@ -281,21 +282,22 @@ def identify_index_quantum(
     instance: QuantumHardInstance,
     true_index: int,
     t_copies: int,
-    rng: np.random.Generator,
+    source: CopySource,
 ) -> tuple[int, bool]:
-    """Split T fresh copies of sigma_i evenly across the K projective tests
-    and estimate each acceptance by its empirical frequency. Quantum
-    measurements collapse, so unlike the classical case the copies cannot
-    be shared between tests; the per-test sample size is T // K."""
+    """Split T copies from `source`, which holds sigma_i, evenly across the
+    K projective tests and estimate each acceptance by its empirical
+    frequency. Quantum measurements collapse, so unlike the classical case
+    the copies cannot be shared between tests; the per-test sample size is
+    T // K. `true_index` only scores the guess."""
     per = t_copies // instance.k
     if per == 0:
         estimates = np.full(instance.k, 0.5)
     else:
-        # Tr(P_j sigma_i) as in QuantumHardInstance.acceptance, with sigma_i built once
-        sigma = np.asarray(instance.sigma(true_index).mat)
-        truth = np.array([float(np.real(np.trace(pj @ sigma))) for pj in instance.projectors])
-        counts = rng.binomial(per, np.clip(truth, 0.0, 1.0))
-        estimates = counts / per
+        counts = [
+            source.dispense(per, "lower-quantum").measure_count(Effect(pj))
+            for pj in instance.projectors
+        ]
+        estimates = np.array(counts) / per
     guess = signature_guess(estimates, instance.epsilon)
     return guess, guess == true_index
 

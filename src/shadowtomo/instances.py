@@ -61,10 +61,9 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Gaussian-induced random mixed state of the given rank."""
-    r = d if rank is None else rank
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+def random_density(d: int, rng: np.random.Generator) -> DensityMatrix:
+    """Gaussian-induced random full-rank mixed state."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityMatrix(m / np.real(np.trace(m)), atol=CONSTRUCTION_ATOL)
 

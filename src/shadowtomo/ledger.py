@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_DIM_CAP
 from .errors import (
     BudgetExhaustedError,
-    DimensionCapError,
     DimensionMismatchError,
     ModeUnsupportedError,
     NotPSDError,
@@ -54,7 +52,7 @@ from .quantum import (
     threshold_outcomes,
     unit_width,
 )
-from .config import POST_ARITHMETIC_ATOL
+from .config import POST_ARITHMETIC_ATOL, PSD_ROOT_ATOL
 from . import linalg
 
 
@@ -95,13 +93,11 @@ class CopySource:
         mode: str,
         rng: np.random.Generator,
         budget: int | None = None,
-        dim_cap: int = DEFAULT_DIM_CAP,
     ):
         self._true_state = true_state
         self.mode = FidelityMode(mode)
         self.rng = rng
         self.ledger = CopyLedger(budget=budget)
-        self.dim_cap = dim_cap
         # fresh mode's per-unit acceptance by id(measurement); an entry holds
         # its measurement, so the id cannot be reused while the source lives
         self._unit_probs: dict[int, tuple[Measurement, float]] = {}
@@ -302,15 +298,15 @@ class PerCopyBatch(CopyBatch):
         return self._unit_outcomes(m)
 
 
-def _kraus_roots(e: np.ndarray, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_roots(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(E) and sqrt(I - E) from one eigendecomposition of E, which both
     share. Raises NotPSDError as herm_sqrt would on either root: for an
-    eigenvalue of E below -atol or above 1 + atol."""
+    eigenvalue of E below -PSD_ROOT_ATOL or above 1 + PSD_ROOT_ATOL."""
     vals, vecs = linalg.eigh_spectrum(e)
-    if vals[0] < -atol:
-        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{atol:.1e}")
-    if vals[-1] > 1.0 + atol:
-        raise NotPSDError(f"eigenvalue {1.0 - vals[-1]:.3e} of I - E below -{atol:.1e}")
+    if vals[0] < -PSD_ROOT_ATOL:
+        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{PSD_ROOT_ATOL:.1e}")
+    if vals[-1] > 1.0 + PSD_ROOT_ATOL:
+        raise NotPSDError(f"eigenvalue {1.0 - vals[-1]:.3e} of I - E below -{PSD_ROOT_ATOL:.1e}")
     vh = vecs.conj().T
     k_acc = linalg.hermitize((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vh)
     k_rej = linalg.hermitize((vecs * np.sqrt(np.clip(1.0 - vals, 0.0, None))) @ vh)
@@ -329,13 +325,11 @@ class ExactBatch(CopyBatch):
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
-        joint_dim = source.dim**n_copies
-        if joint_dim > source.dim_cap:
-            raise DimensionCapError(joint_dim, source.dim_cap, "joint copy state")
+        linalg.check_dense_dim(source.dim**n_copies, "joint copy state")
         if n_copies == 0:
             self._joint = np.eye(1, dtype=np.complex128)
         else:
-            self._joint = linalg.tensor_power(source._true_state.mat, n_copies, source.dim_cap)
+            self._joint = linalg.tensor_power(source._true_state.mat, n_copies)
 
     def _embed(self, op: np.ndarray, offset_copies: int, span: int) -> np.ndarray:
         d = self.source.dim
@@ -347,9 +341,7 @@ class ExactBatch(CopyBatch):
         self._check_collective(m)
         if isinstance(m, AnyOf):
             joint = DensityMatrix(self._joint, atol=POST_ARITHMETIC_ATOL)
-            accepted, post = controlled_or_test(
-                list(m.members), joint, self.source.rng, cap=self.source.dim_cap
-            )
+            accepted, post = controlled_or_test(list(m.members), joint, self.source.rng)
             self._joint = post.mat
             return accepted
         return bool(self.measure_units(m)[0])
@@ -359,7 +351,7 @@ class ExactBatch(CopyBatch):
         if isinstance(m, AnyOf):
             raise ModeUnsupportedError("exact mode measures one OR round per collective call")
         w = unit_width(m)
-        op = dense_operator(m, self.source.dim_cap)
+        op = dense_operator(m)
         out = np.empty(n_units, dtype=bool)
         for u in range(n_units):
             big = self._embed(op, u * w, w)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import CONSTRUCTION_ATOL, DEFAULT_DIM_CAP, POST_ARITHMETIC_ATOL
+from .config import CONSTRUCTION_ATOL, DEFAULT_DIM_CAP, POST_ARITHMETIC_ATOL, PSD_ROOT_ATOL
 from .errors import DimensionCapError, DimensionMismatchError, NotPSDError
 
 
@@ -60,13 +60,19 @@ def eigh_spectrum(a: np.ndarray) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-def tensor_power(a: np.ndarray, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def check_dense_dim(dim: int, what: str) -> None:
+    """Raise DimensionCapError if a dense `what` of dimension `dim` would
+    exceed DEFAULT_DIM_CAP, the one dimension cap of the package."""
+    if dim > DEFAULT_DIM_CAP:
+        raise DimensionCapError(dim, DEFAULT_DIM_CAP, what)
+
+
+def tensor_power(a: np.ndarray, k: int) -> np.ndarray:
     """k-fold tensor power of a square matrix, cap-checked up front."""
     a = as_complex_matrix(a)
     if k < 1:
         raise ValueError("tensor power requires k >= 1")
-    if a.shape[0] ** k > cap:
-        raise DimensionCapError(a.shape[0] ** k, cap)
+    check_dense_dim(a.shape[0] ** k, "tensor product")
     out = a
     for _ in range(k - 1):
         out = np.kron(out, a)
@@ -133,16 +139,16 @@ def conjugate_each_register(state: np.ndarray, u: np.ndarray, d: int, q: int) ->
     return t.reshape(dim, dim)
 
 
-def herm_sqrt(a: np.ndarray, atol: float = 1e-6) -> np.ndarray:
+def herm_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues in [-atol, 0) are clamped to zero; anything below -atol
+    Eigenvalues in [-PSD_ROOT_ATOL, 0) are clamped to zero; anything lower
     raises, since that indicates a genuinely non-PSD input rather than
     floating-point drift.
     """
     vals, vecs = eigh_spectrum(a)
-    if vals[0] < -atol:
-        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{atol:.1e}")
+    if vals[0] < -PSD_ROOT_ATOL:
+        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -{PSD_ROOT_ATOL:.1e}")
     vals = np.clip(vals, 0.0, None)
     return hermitize((vecs * np.sqrt(vals)) @ vecs.conj().T)
 

@@ -6,17 +6,22 @@ exact_tensor
     realized by the canonical two-outcome collapse on the joint, unit by
     unit in unit order. An OR round is the control-qubit test on the joint
     state. Faithful to measurement back-action, but every materialized
-    dimension must stay within the configured cap.
+    dimension must stay within the dimension cap fixed in config.py.
 
 per_copy_collapse
     Copies are tracked individually. Every measurement collapses each copy
     once, in copy order, under the leaf effect of a (possibly nested)
     threshold; the threshold's outcome is then counted level by level from
     those per-copy outcomes. An OR round applies its members so, in order,
-    until one accepts. Copies with the same outcome history share one
-    stored state, so a block costs one collapse per distinct history, not
-    per copy. Honest about per-copy damage, never materializes a joint
-    state, but cannot represent coherence across registers (for
+    until one accepts. That measures each amplified candidate's threshold
+    register by register, not as the gentle collective measurement the OR
+    test assumes, and a rejection leaves the copies where the next
+    candidate accepts more often, so OR decisions are not sound here: at
+    seed 0 the orbound scenario in this mode gets all 10 of its first 20
+    trials' all-below instances wrong. Copies with the same outcome history
+    share one stored state, so a block costs one collapse per distinct
+    history, not per copy. Honest about per-copy damage, never materializes
+    a joint state, but cannot represent coherence across registers (for
     commuting/diagonal instances it is exact).
 
 fresh_copy_statistical

@@ -38,18 +38,6 @@ def key_state(key: tuple[int, ...]) -> np.ndarray:
     return v
 
 
-def key_overlap(key_a: tuple[int, ...], key_b: tuple[int, ...]) -> float:
-    """|<bill_a|bill_b>|^2, a product of per-qubit overlaps."""
-    out = 1.0
-    for a, b in zip(key_a, key_b):
-        if a == b:
-            continue
-        if (a < 2) == (b < 2):
-            return 0.0  # same basis, opposite bit
-        out *= 0.5
-    return out
-
-
 def all_keys(d_qubits: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(4), repeat=d_qubits))
 

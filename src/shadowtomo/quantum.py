@@ -37,8 +37,8 @@ from typing import Literal, Union
 import numpy as np
 from scipy import special
 
-from .config import CONSTRUCTION_ATOL, DEFAULT_DIM_CAP, POST_ARITHMETIC_ATOL
-from .errors import DegenerateBranchError, DimensionCapError, DimensionMismatchError
+from .config import CONSTRUCTION_ATOL, POST_ARITHMETIC_ATOL
+from .errors import DegenerateBranchError, DimensionMismatchError
 from . import linalg
 
 Direction = Literal["at_least", "at_most"]
@@ -182,10 +182,6 @@ def zero_effect(dim: int) -> Effect:
     return Effect(np.zeros((dim, dim), dtype=np.complex128))
 
 
-def identity_effect(dim: int) -> Effect:
-    return Effect(np.eye(dim, dtype=np.complex128))
-
-
 @dataclass(frozen=True)
 class MeasurementOutcome:
     accepted: bool
@@ -280,7 +276,7 @@ def threshold_accept_prob(m: Measurement, leaf_value: float) -> float:
     return binomial_tail(m.registers, inner, m.threshold, m.direction)
 
 
-def materialize_threshold(te: ThresholdEffect, cap: int = DEFAULT_DIM_CAP) -> Effect:
+def materialize_threshold(te: ThresholdEffect) -> Effect:
     """Dense operator of a threshold effect.
 
     Dynamic program over registers carrying count-indexed partial operators:
@@ -288,9 +284,8 @@ def materialize_threshold(te: ThresholdEffect, cap: int = DEFAULT_DIM_CAP) -> Ef
     exactly c accepting factors. O(n^2) operator multiplications; the final
     dimension is cap-checked before any work happens.
     """
-    if te.total_dim > cap:
-        raise DimensionCapError(te.total_dim, cap, "threshold materialization")
-    base = te.base if isinstance(te.base, Effect) else materialize_threshold(te.base, cap)
+    linalg.check_dense_dim(te.total_dim, "threshold materialization")
+    base = te.base if isinstance(te.base, Effect) else materialize_threshold(te.base)
     acc = np.asarray(base.mat)
     rej = np.eye(base.dim) - acc
     n = te.registers
@@ -320,12 +315,12 @@ def materialize_threshold(te: ThresholdEffect, cap: int = DEFAULT_DIM_CAP) -> Ef
     return Effect(linalg.hermitize(total), atol=POST_ARITHMETIC_ATOL)
 
 
-def dense_operator(m: Measurement, cap: int) -> np.ndarray:
+def dense_operator(m: Measurement) -> np.ndarray:
     """Accepting operator of `m` as a dense matrix; a threshold is
-    materialized under `cap`."""
+    materialized under the dimension cap."""
     if isinstance(m, Effect):
         return np.asarray(m.mat)
-    return np.asarray(materialize_threshold(m, cap).mat)
+    return np.asarray(materialize_threshold(m).mat)
 
 
 def threshold_outcomes(m: Measurement, leaf_accepts: np.ndarray) -> np.ndarray:
@@ -381,16 +376,13 @@ _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
 _ONE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
-def _conditional_ops(
-    effects: list[Measurement], dim: int, cap: int
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _conditional_ops(effects: list[Measurement], dim: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Each effect conditioned on the control being |1>, and the projector
     onto the control's |+> state, all on the control-extended space."""
-    if 2 * dim > cap:
-        raise DimensionCapError(2 * dim, cap, "control-extended state")
+    linalg.check_dense_dim(2 * dim, "control-extended state")
     ops = []
     for m in effects:
-        op = dense_operator(m, cap)
+        op = dense_operator(m)
         if op.shape[0] != dim:
             raise DimensionMismatchError("effect dimension does not match the state")
         ops.append(np.kron(_ONE, op))
@@ -398,10 +390,7 @@ def _conditional_ops(
 
 
 def controlled_or_test(
-    effects: list[Measurement],
-    rho: DensityMatrix,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_DIM_CAP,
+    effects: list[Measurement], rho: DensityMatrix, rng: np.random.Generator
 ) -> tuple[bool, DensityMatrix]:
     """Single-copy OR test with a control qubit; returns (accepted, post
     state of the register with the control traced out).
@@ -410,7 +399,7 @@ def controlled_or_test(
     it finds the control decohered.
     """
     dim = rho.dim
-    ops, plus_proj = _conditional_ops(effects, dim, cap)
+    ops, plus_proj = _conditional_ops(effects, dim)
     state = np.kron(_PLUS, rho.mat)
     accepted = False
     for a in ops:
@@ -431,9 +420,7 @@ def controlled_or_test(
     return accepted, post
 
 
-def controlled_or_accept_prob(
-    effects: list[Measurement], rho: DensityMatrix, cap: int = DEFAULT_DIM_CAP
-) -> float:
+def controlled_or_accept_prob(effects: list[Measurement], rho: DensityMatrix) -> float:
     """Exact acceptance probability of controlled_or_test, the reference its
     sampled outcomes are checked against.
 
@@ -441,7 +428,7 @@ def controlled_or_accept_prob(
     observe + at every control check. Acceptance = 1 - final trace.
     """
     dim = rho.dim
-    ops, plus_proj = _conditional_ops(effects, dim, cap)
+    ops, plus_proj = _conditional_ops(effects, dim)
     surv = np.kron(_PLUS, rho.mat)
     for a in ops:
         k = linalg.herm_sqrt(np.eye(2 * dim) - a)

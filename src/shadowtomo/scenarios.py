@@ -18,7 +18,7 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
-from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP
+from .config import DEFAULT_CONSTANTS
 from .errors import ConfigError, IterationBoundExceededError
 from .hardness import (
     classical_estimate_all,
@@ -78,7 +78,6 @@ class ScenarioConfig:
     case: str | None = None
     planted_value: float | None = None
     low_cap: float | None = None
-    dim_cap: int = DEFAULT_DIM_CAP
     budget: int | None = None
     out_dir: str = "results"
     workers: int = 1
@@ -156,8 +155,6 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("seed must be >= 0")
     if out.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if out.dim_cap < 2:
-        raise ConfigError("dim_cap must be >= 2")
     try:
         mode = FidelityMode(out.mode)
     except ValueError:
@@ -186,7 +183,7 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def _source(cfg: ScenarioConfig, rho, rng) -> CopySource:
-    return CopySource(rho, FidelityMode(cfg.mode), rng, budget=cfg.budget, dim_cap=cfg.dim_cap)
+    return CopySource(rho, FidelityMode(cfg.mode), rng, budget=cfg.budget)
 
 
 def _trial_verify_gentle(cfg: ScenarioConfig, trial: int):
@@ -289,7 +286,11 @@ def _trial_search(cfg: ScenarioConfig, trial: int):
     return row, extras
 
 
-def _markov_ok(transcript: Transcript, epsilon: float, tol: float = 1e-9) -> bool:
+# slack on the Markov bound for the rounding in p_after / p_before
+_MARKOV_TOL = 1e-9
+
+
+def _markov_ok(transcript: Transcript, epsilon: float) -> bool:
     for step in transcript.steps:
         v = step.hypothesis_value
         if step.sign == "+":
@@ -298,7 +299,7 @@ def _markov_ok(transcript: Transcript, epsilon: float, tol: float = 1e-9) -> boo
             bound = (1.0 - v) / (1.0 - v + epsilon / 4.0)
         if step.p_before <= 0.0:
             return False
-        if step.p_after / step.p_before > bound + tol:
+        if step.p_after / step.p_before > bound + _MARKOV_TOL:
             return False
     return True
 
@@ -306,7 +307,7 @@ def _markov_ok(transcript: Transcript, epsilon: float, tol: float = 1e-9) -> boo
 def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, rng):
     """One shadow run on `inst`; its copy source continues `rng`, the
     generator the instance was drawn from."""
-    params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q, dim_cap=cfg.dim_cap)
+    params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q)
     source = _source(cfg, inst.rho, rng)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
     try:
@@ -414,11 +415,11 @@ def _trial_lower_quantum(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     inst = gen_quantum_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
-    guess, correct = identify_index_quantum(inst, true_index, cfg.t_samples, rng)
-    consumed = (cfg.t_samples // cfg.k) * cfg.k
+    source = _source(cfg, inst.sigma(true_index), rng)
+    guess, correct = identify_index_quantum(inst, true_index, cfg.t_samples, source)
     row = TrialRow(
         cfg.scenario, trial, cfg.seed, cfg.n, cfg.k, cfg.epsilon, cfg.delta, cfg.mode,
-        consumed, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
+        source.ledger.consumed, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
     )
     return row, {"true_index": true_index, "guess": guess}
 
@@ -652,8 +653,8 @@ class ScenarioOutcome:
     extras: list[dict]
     summary: dict
     thresholds_met: bool
-    csv_path: Path | None
-    summary_path: Path | None
+    csv_path: Path
+    summary_path: Path
 
 
 def _parameters_echo(cfg: ScenarioConfig) -> dict:
@@ -665,9 +666,8 @@ def _parameters_echo(cfg: ScenarioConfig) -> dict:
     }
 
 
-def run_scenario(
-    cfg: ScenarioConfig, out_dir: str | Path | None = None, emit: bool = True
-) -> ScenarioOutcome:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioOutcome:
+    """Run every trial of `cfg` and write the output files into cfg.out_dir."""
     cfg = resolve(cfg)
     tasks = [(cfg, t) for t in range(cfg.trials)]
     if cfg.workers > 1 and cfg.trials > 1:
@@ -690,17 +690,15 @@ def run_scenario(
         "thresholds_met": met,
     }
 
-    csv_path = summary_path = None
-    if emit:
-        target = Path(out_dir if out_dir is not None else cfg.out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        csv_path = write_csv(target / "results.csv", rows)
-        summary_path = write_json(target / "summary.json", summary)
-        transcripts = [
-            {"trial": row.trial, "transcript": extra["transcript"]}
-            for row, extra in zip(rows, extras)
-            if "transcript" in extra
-        ]
-        if transcripts:
-            write_json(target / "transcripts.json", transcripts)
+    target = Path(cfg.out_dir)
+    target.mkdir(parents=True, exist_ok=True)
+    csv_path = write_csv(target / "results.csv", rows)
+    summary_path = write_json(target / "summary.json", summary)
+    transcripts = [
+        {"trial": row.trial, "transcript": extra["transcript"]}
+        for row, extra in zip(rows, extras)
+        if "transcript" in extra
+    ]
+    if transcripts:
+        write_json(target / "transcripts.json", transcripts)
     return ScenarioOutcome(cfg, rows, extras, summary, met, csv_path, summary_path)

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_CONSTANTS, DEFAULT_DIM_CAP
+from .config import DEFAULT_CONSTANTS
 from .errors import (
     DegeneratePostselectionError,
-    DimensionCapError,
     DimensionMismatchError,
     IterationBoundExceededError,
     ModeUnsupportedError,
@@ -78,7 +77,6 @@ class ShadowParams:
     ell_search: int
     k_pred: int
     non_theoretical: bool
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def search_params(self) -> SearchParams:
         return _refinement_search(self.beta)
@@ -115,20 +113,15 @@ def derived_beta(d: int, epsilon: float, delta: float) -> float:
 
 
 def derive_params(
-    d: int,
-    m: int,
-    epsilon: float,
-    delta: float,
-    q: int | None = None,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    d: int, m: int, epsilon: float, delta: float, q: int | None = None
 ) -> ShadowParams:
     """Compute the full operating point from (D, M, eps, delta).
 
     An explicit q override is honored but flags the result as
     non-theoretical: the copy-complexity guarantees assume the derived
     value. The amplified hypothesis lives in dimension D^q, which must fit
-    under dim_cap; an oversized derived q is an error unless an override
-    lowers it.
+    under the dimension cap; an oversized derived q is an error unless an
+    override lowers it.
     """
     if d < 2:
         raise DimensionMismatchError("need a state dimension of at least 2")
@@ -143,8 +136,7 @@ def derive_params(
     q_eff = q_star if q is None else q
     if q_eff < 1:
         raise ValueError("q must be at least 1")
-    if d**q_eff > dim_cap:
-        raise DimensionCapError(d**q_eff, dim_cap, "amplified hypothesis")
+    linalg.check_dense_dim(d**q_eff, "amplified hypothesis")
     t_bound = math.ceil(DEFAULT_CONSTANTS.c_t * q_eff * math.log(d) / epsilon)
     ell_search = search_budget(2 * m, _refinement_search(beta)).total_units
     return ShadowParams(
@@ -158,7 +150,6 @@ def derive_params(
         ell_search=ell_search,
         k_pred=t_bound * q_eff * ell_search,
         non_theoretical=q_eff != q_star,
-        dim_cap=dim_cap,
     )
 
 
@@ -182,10 +173,9 @@ class Hypothesis:
         self.p = p
 
     @classmethod
-    def initial(cls, d: int, q: int, dim_cap: int = DEFAULT_DIM_CAP) -> "Hypothesis":
+    def initial(cls, d: int, q: int) -> "Hypothesis":
         dim = d**q
-        if dim > dim_cap:
-            raise DimensionCapError(dim, dim_cap, "amplified hypothesis")
+        linalg.check_dense_dim(dim, "amplified hypothesis")
         return cls(np.eye(dim, dtype=np.complex128) / dim, d, q, 1.0)
 
     def value(self, e: Effect) -> float:
@@ -323,7 +313,7 @@ def run_shadow_tomography(
         if not isinstance(e, Effect) or e.dim != params.d:
             raise DimensionMismatchError("target effects must be single-register effects on D")
 
-    h = Hypothesis.initial(params.d, params.q, params.dim_cap)
+    h = Hypothesis.initial(params.d, params.q)
     sp = params.search_params()
     consumed_before = rho_source.ledger.consumed
     steps: list[TranscriptStep] = []

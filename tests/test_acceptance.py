@@ -8,6 +8,7 @@ substreams, so the whole suite is reproducible.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -275,8 +276,8 @@ def test_money_demo_all_keys():
 def test_rerun_byte_identical_csv(tmp_path):
     for scenario, trials in (("orbound", 12), ("hlw", 40)):
         cfg = ScenarioConfig(scenario=scenario, trials=trials, seed=17)
-        run_scenario(cfg, out_dir=tmp_path / scenario / "a")
-        run_scenario(cfg, out_dir=tmp_path / scenario / "b")
+        run_scenario(replace(cfg, out_dir=str(tmp_path / scenario / "a")))
+        run_scenario(replace(cfg, out_dir=str(tmp_path / scenario / "b")))
         first = (tmp_path / scenario / "a" / "results.csv").read_bytes()
         second = (tmp_path / scenario / "b" / "results.csv").read_bytes()
         assert first == second

@@ -22,6 +22,8 @@ from shadowtomo.hardness import (
     signature_guess,
     _sample_subset_family,
 )
+from shadowtomo.ledger import CopySource
+from shadowtomo.modes import FidelityMode
 from shadowtomo.rng import substream
 
 
@@ -232,9 +234,25 @@ def test_identify_index_quantum_high_copy_count():
     inst = gen_quantum_hard_instance(8, 4, 0.05, substream(21, 0))
     wins = 0
     for s in range(20):
-        _, correct = identify_index_quantum(inst, s % 4, 4000, substream(22, s))
+        sigma = inst.sigma(s % 4)
+        source = CopySource(sigma, FidelityMode.FRESH_COPY_STATISTICAL, substream(22, s))
+        _, correct = identify_index_quantum(inst, s % 4, 4000, source)
         wins += correct
     assert wins >= 17
+
+
+# exact mode would hold each test's 10 copies as one 8**10-dimensional state
+@pytest.mark.parametrize("mode", [FidelityMode.PER_COPY_COLLAPSE, FidelityMode.FRESH_COPY_STATISTICAL])
+def test_identify_index_quantum_draws_its_copies_from_the_source(mode):
+    # T // K copies per projector, all debited to the source's ledger; a T
+    # below K carries no copy and guesses from the flat estimate
+    inst = gen_quantum_hard_instance(8, 4, 0.05, substream(24, 0))
+    source = CopySource(inst.sigma(1), mode, substream(24, 1))
+    identify_index_quantum(inst, 1, 41, source)
+    assert source.ledger.attribution == {"lower-quantum": 40}
+    empty = CopySource(inst.sigma(1), mode, substream(24, 1))
+    identify_index_quantum(inst, 1, 3, empty)
+    assert empty.ledger.consumed == 0
 
 
 def test_hlw_overlap_mean_and_reports():

@@ -102,10 +102,11 @@ def test_build_config_rejects_unknown_key():
     assert "bogus" in str(exc.value)
 
 
-@pytest.mark.parametrize("key", ["c_or", "c_q", "c_t", "c_gap", "c_search"])
+@pytest.mark.parametrize("key", ["c_or", "c_q", "c_t", "c_gap", "c_search", "dim_cap"])
 def test_derived_parameter_constants_are_not_config_keys(key, tmp_path, capsys):
     # the constants are pinned in config.py: a per-run value would move q*
-    # and the other derived sizes while non_theoretical still read False
+    # and the other derived sizes while non_theoretical still read False,
+    # and the dimension cap is one limit for every run
     with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
         build_config({"scenario": "shadow", key: "0.25"})
     code = main(
@@ -227,8 +228,8 @@ def test_run_trial_row_shape():
 
 def test_run_scenario_emits_files_and_is_reproducible(tmp_path):
     cfg = ScenarioConfig(scenario="gap", trials=4, seed=11)
-    out1 = run_scenario(cfg, out_dir=tmp_path / "a")
-    out2 = run_scenario(cfg, out_dir=tmp_path / "b")
+    out1 = run_scenario(replace(cfg, out_dir=str(tmp_path / "a")))
+    out2 = run_scenario(replace(cfg, out_dir=str(tmp_path / "b")))
     csv1 = (tmp_path / "a" / "results.csv").read_bytes()
     csv2 = (tmp_path / "b" / "results.csv").read_bytes()
     assert csv1 == csv2
@@ -239,13 +240,14 @@ def test_run_scenario_emits_files_and_is_reproducible(tmp_path):
     # parameters are echoed under their config-file keys
     assert summary["parameters"]["D"] == 4 and summary["parameters"]["M"] == 16
     assert "d" not in summary["parameters"] and "m" not in summary["parameters"]
+    assert "dim_cap" not in summary["parameters"]
 
 
 def test_run_scenario_workers_match_serial(tmp_path):
     cfg1 = ScenarioConfig(scenario="orbound", trials=6, seed=2, workers=1)
     cfg2 = ScenarioConfig(scenario="orbound", trials=6, seed=2, workers=3)
-    run_scenario(cfg1, out_dir=tmp_path / "serial")
-    run_scenario(cfg2, out_dir=tmp_path / "pool")
+    run_scenario(replace(cfg1, out_dir=str(tmp_path / "serial")))
+    run_scenario(replace(cfg2, out_dir=str(tmp_path / "pool")))
     assert (tmp_path / "serial" / "results.csv").read_bytes() == (
         tmp_path / "pool" / "results.csv"
     ).read_bytes()
@@ -253,7 +255,7 @@ def test_run_scenario_workers_match_serial(tmp_path):
 
 def test_run_scenario_transcripts_emitted_for_shadow(tmp_path):
     cfg = ScenarioConfig(scenario="shadow", trials=1, seed=3)
-    run_scenario(cfg, out_dir=tmp_path)
+    run_scenario(replace(cfg, out_dir=str(tmp_path)))
     doc = json.loads((tmp_path / "transcripts.json").read_text())
     assert isinstance(doc, list) and len(doc) == 1
     assert doc[0]["trial"] == 0
@@ -363,6 +365,30 @@ def test_classical_family_failure_exits_3_and_names_the_error(tmp_path, capsys):
     )
     assert code == 3
     assert "RejectionLimitError: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, setting, message",
+    [
+        ("shadow-quick", "q=0", "ValueError: q must be at least 1"),
+        ("shadow-quick", "M=0", "ValueError: need at least one target effect"),
+        ("classical", "N=5", "ValueError: N must be even"),
+        ("classical", "epsilon=0.2", "ValueError: epsilon must be in (0, 1/6]"),
+        ("orbound", "low_cap=2", "ValueError: low cap must be in [0, 1]"),
+        # 2**13 exceeds the pinned dimension cap of 4096
+        ("shadow-quick", "q=13", "DimensionCapError: amplified hypothesis of dimension 8192"),
+    ],
+    ids=["q=0", "M=0", "N=5", "epsilon=0.2", "low_cap=2", "q=13"],
+)
+def test_value_the_scenario_cannot_use_exits_3(config, setting, message, tmp_path, capsys):
+    # exit 1 means "thresholds NOT met"; a run that raised on its inputs is not that
+    code = main(
+        ["run", "--config", str(CONFIGS / f"{config}.cfg"), "--set", setting, "--set", "trials=2",
+         "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Every import in the package and its tests is used, every private
-module-level name in the package is read somewhere, and every parameter of a
-package function is read in its body.
+module-level name and every public function, class and method in the
+package is read somewhere, and every parameter of a package function is
+read in its body.
 
 No linter ships with the project, so this scans the sources with `ast`: an
 imported name counts as used when it appears as a name anywhere in the
 module, quoted annotations included. A private name (`_X = ...`, `def _f`,
-`class _C`) counts as read when it is loaded as a name or an attribute in
-the package or in `benchmarks/`, which reads `scenarios._THRESHOLDS`.
-A parameter counts as read when its name is loaded anywhere in the body.
+`class _C`) or a public definition counts as read when it is loaded as a
+name or an attribute in the package or in `benchmarks/`, which reads
+`scenarios._THRESHOLDS`; reads in tests do not count. A parameter counts as
+read when its name is loaded anywhere in the body.
 """
 
 import ast
@@ -103,6 +105,46 @@ def test_no_unread_private_names(path):
     defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     unread = [f"{name} (line {line})" for name, line in defined.items() if name not in read]
     assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes, and the methods of those classes."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef | ast.AsyncFunctionDef):
+                    names[item.name] = item.lineno
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            names[node.name] = node.lineno
+    return {name: line for name, line in names.items() if not name.startswith("_")}
+
+
+# Public names only tests read, each kept for its reason.
+_TEST_ONLY_PUBLIC = {
+    "controlled_or_accept_prob": "the exact acceptance controlled_or_test is checked against",
+    "entropy_report": "the per-sample information bound a Fano-ceiling gate is to read",
+}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_public_names(path):
+    read = _read_anywhere()
+    defined = _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name not in read and name not in _TEST_ONLY_PUBLIC
+    ]
+    assert not unread, f"{path.name} defines public names only tests read: {', '.join(unread)}"
+
+
+def test_test_only_allowlist_names_unread_definitions():
+    # an entry whose name the package starts reading, or stops defining, goes
+    trees = (ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE)
+    defined = set().union(*map(_public_definitions, trees))
+    stale = [name for name in _TEST_ONLY_PUBLIC if name not in defined or name in _read_anywhere()]
+    assert not stale, f"allowlisted names no longer test-only: {', '.join(stale)}"
 
 
 # Signatures fixed from outside: argparse handlers and the checks that

@@ -101,13 +101,13 @@ def _public(obj):
 
 
 def test_sources_and_batches_expose_only_dispensing_and_measurement():
-    # A source shows its mode, generator, ledger, cap and dimension and
+    # A source shows its mode, generator, ledger and dimension and
     # dispenses; a batch shows its size and source and measures. Nothing
     # else, so no state or probability can be read around the outcomes.
     assert _public(CopyBatch) == _MEASURE
     for mode in FidelityMode:
         src = CopySource(mixed_state(), mode, substream(0, 0))
-        assert _public(src) == {"dim", "dim_cap", "dispense", "ledger", "mode", "rng"}
+        assert _public(src) == {"dim", "dispense", "ledger", "mode", "rng"}
         batch = src.dispense(1, "x")
         assert _public(type(batch)) == _MEASURE
         assert _public(batch) == _MEASURE | {"n_copies", "source"}

@@ -4,9 +4,21 @@ import itertools
 
 import numpy as np
 
-from shadowtomo.money import WiesnerInstance, all_keys, key_overlap, key_state, make_wiesner_instance
+from shadowtomo.money import WiesnerInstance, all_keys, key_state, make_wiesner_instance
 from shadowtomo.quantum import accept_prob
 from shadowtomo.rng import substream
+
+
+def key_overlap(key_a: tuple[int, ...], key_b: tuple[int, ...]) -> float:
+    """|<bill_a|bill_b>|^2, a product of per-qubit overlaps."""
+    out = 1.0
+    for a, b in zip(key_a, key_b):
+        if a == b:
+            continue
+        if (a < 2) == (b < 2):
+            return 0.0  # same basis, opposite bit
+        out *= 0.5
+    return out
 
 
 def test_single_symbol_states():

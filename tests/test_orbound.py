@@ -13,11 +13,11 @@ from shadowtomo.modes import FidelityMode
 from shadowtomo.orbound import OrBoundParams, or_bound_decide, random_order_or_test
 from shadowtomo.quantum import (
     DensityMatrix,
+    Effect,
     ThresholdEffect,
     accept_prob,
     controlled_or_accept_prob,
     controlled_or_test,
-    identity_effect,
     materialize_threshold,
     zero_effect,
 )
@@ -46,7 +46,7 @@ def test_params_validation():
 def test_controlled_or_certain_effect_exact_lower_bound():
     # single effect with Tr(E rho) = 1: accept prob at least 1/7
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    assert controlled_or_accept_prob([identity_effect(2)], rho) >= 1.0 / 7.0
+    assert controlled_or_accept_prob([Effect(np.eye(2))], rho) >= 1.0 / 7.0
 
 
 def test_controlled_or_all_zero_effects_never_accepts():
@@ -97,7 +97,7 @@ def test_controlled_or_acceptance_bounds_on_random_instances():
 def test_random_order_all_identity_accepts_all_zero_rejects():
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     mode = FidelityMode.PER_COPY_COLLAPSE
-    assert random_order_or_test([identity_effect(2)] * 3, CopySource(rho, mode, substream(6, 0)))
+    assert random_order_or_test([Effect(np.eye(2))] * 3, CopySource(rho, mode, substream(6, 0)))
     assert not random_order_or_test([zero_effect(2)] * 3, CopySource(rho, mode, substream(6, 1)))
 
 
@@ -126,9 +126,9 @@ def test_or_bound_decide_consumes_exactly_ell_times_rounds():
 def test_or_bound_decide_exact_mode_runs_the_control_qubit_round(monkeypatch):
     rounds_run = []
 
-    def spy(effects, rho, rng, cap):
+    def spy(effects, rho, rng):
         rounds_run.append(rho.dim)
-        return controlled_or_test(effects, rho, rng, cap)
+        return controlled_or_test(effects, rho, rng)
 
     monkeypatch.setattr(ledger, "controlled_or_test", spy)
     # at M=2: ell = ceil(4 ln 2) = 3 and rounds = ceil(48 ln(1/0.85)) = 8
@@ -167,7 +167,7 @@ def test_or_bound_decide_certain_effect_case_i():
     params = OrBoundParams(c=1.0, epsilon=0.5, delta=0.1)
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(12, 0))
-    decision = or_bound_decide([identity_effect(2)], src, params)
+    decision = or_bound_decide([Effect(np.eye(2))], src, params)
     assert decision.case == "case_i"
     assert decision.accept_count == decision.rounds
 
@@ -178,5 +178,5 @@ def test_or_bound_threshold_clamped_into_register_range():
     params = OrBoundParams(c=1.0, epsilon=0.1, delta=0.1)
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(13, 0))
-    decision = or_bound_decide([identity_effect(2)], src, params)
+    decision = or_bound_decide([Effect(np.eye(2))], src, params)
     assert 0 <= decision.threshold <= decision.ell + 1

@@ -19,7 +19,6 @@ from shadowtomo.quantum import (
     apply_effect,
     binomial_tail,
     collapse,
-    identity_effect,
     leaf_effect,
     materialize_threshold,
     sequential_accept_all,
@@ -160,7 +159,7 @@ def test_binomial_tail_sentinel_thresholds():
 
 
 def test_unit_width_and_leaf():
-    e = identity_effect(2)
+    e = Effect(np.eye(2))
     te = ThresholdEffect(e, 3, 2, "at_least")
     nested = ThresholdEffect(te, 2, 1, "at_least")
     assert unit_width(e) == 1
@@ -188,7 +187,7 @@ def nest(base, levels):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(threshold_level(st.integers(1, 6)), max_size=6))
 def test_unit_width_is_registers_times_base_width_at_any_depth(levels):
-    m = nest(identity_effect(2), levels)
+    m = nest(Effect(np.eye(2)), levels)
     assert unit_width(m) == math.prod(n for n, _, _ in levels)
     if levels:
         assert unit_width(m) == m.registers * unit_width(m.base)
@@ -209,7 +208,7 @@ def test_nested_threshold_accept_prob_matches_dense_operator(seed, inner, outer)
 
 
 def test_threshold_effect_rejects_bad_threshold():
-    e = identity_effect(2)
+    e = Effect(np.eye(2))
     with pytest.raises(Exception):
         ThresholdEffect(e, 3, 5, "at_least")
     with pytest.raises(Exception):
@@ -247,7 +246,7 @@ def test_threshold_accept_prob_is_binomial_tail_on_products():
 
 
 def test_threshold_accept_prob_plain_effect_passthrough():
-    e = identity_effect(2)
+    e = Effect(np.eye(2))
     assert threshold_accept_prob(e, 0.37) == 0.37
 
 
@@ -285,4 +284,4 @@ def test_threshold_acceptance_monotone_in_threshold():
 def test_zero_and_identity_effects():
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     assert accept_prob(zero_effect(2), rho) == 0.0
-    assert accept_prob(identity_effect(2), rho) == 1.0
+    assert accept_prob(Effect(np.eye(2)), rho) == 1.0

@@ -11,7 +11,7 @@ from shadowtomo import scenarios
 from shadowtomo.instances import or_promise_instance
 from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
-from shadowtomo.quantum import DensityMatrix, Effect, identity_effect
+from shadowtomo.quantum import DensityMatrix, Effect
 from shadowtomo.rng import substream
 from shadowtomo.search import (
     SearchParams,
@@ -83,7 +83,7 @@ def test_budget_within_copy_bound_at_reference_point():
 def test_verify_candidate_confirms_and_rejects():
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 0))
-    assert verify_candidate(identity_effect(2), src, 0.9, 0.4, 0.05)
+    assert verify_candidate(Effect(np.eye(2)), src, 0.9, 0.4, 0.05)
     src2 = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 1))
     low = Effect(np.diag([0.1, 0.0]).astype(complex))
     assert not verify_candidate(low, src2, 0.9, 0.4, 0.05)
@@ -96,7 +96,7 @@ def _shipped_verification(config):
         sp, m = SearchParams(cfg.c, cfg.epsilon, cfg.delta), cfg.m
     else:
         d, m = (cfg.d, cfg.m) if cfg.scenario == "shadow" else (2**cfg.qubits, 4**cfg.qubits)
-        params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q, dim_cap=cfg.dim_cap)
+        params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q)
         sp, m = params.search_params(), 2 * m
     gap = min(sp.epsilon, sp.c - sp.epsilon)
     return verification_size(sp.level_params(m)[2], gap), sp.c - sp.epsilon, gap

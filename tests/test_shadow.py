@@ -23,7 +23,7 @@ from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
 from shadowtomo.quantum import (
     DensityMatrix,
-    identity_effect,
+    Effect,
     materialize_threshold,
     zero_effect,
 )
@@ -72,7 +72,7 @@ def test_derive_params_defaults_are_theoretical():
 
 def test_derive_params_dimension_cap():
     with pytest.raises(DimensionCapError):
-        derive_params(2, 8, 0.25, 0.1, q=20, dim_cap=4096)
+        derive_params(2, 8, 0.25, 0.1, q=20)
 
 
 def test_derive_params_bookkeeping():
@@ -98,13 +98,13 @@ def test_hypothesis_value_of_projector_on_mixed_state():
     rng = substream(0, 0)
     proj = random_projector(2, 1, rng)
     assert abs(h.value(proj) - 0.5) < 1e-12
-    assert h.value(identity_effect(2)) == 1.0
+    assert h.value(Effect(np.eye(2))) == 1.0
     assert h.value(zero_effect(2)) == 0.0
 
 
 def test_refinement_thresholds_reference_values():
     p = small_params(q=10, epsilon=0.4)
-    e = identity_effect(2)
+    e = Effect(np.eye(2))
     plus, minus = build_refinement_effects(e, 0.5, p)
     assert plus.threshold == 8 and plus.direction == "at_least"
     assert minus.threshold == 2 and minus.direction == "at_most"
@@ -112,7 +112,7 @@ def test_refinement_thresholds_reference_values():
 
 def test_refinement_thresholds_out_of_range_never_accept():
     p = small_params(q=8)
-    e = identity_effect(2)
+    e = Effect(np.eye(2))
     plus, minus = build_refinement_effects(e, 1.0, p)
     # at v=1 the plus detector demands more accepts than registers exist
     assert plus.threshold == p.q + 1
@@ -122,7 +122,7 @@ def test_refinement_thresholds_out_of_range_never_accept():
 
 def test_postselection_thresholds_sit_inside_detectors():
     p = small_params(q=8, epsilon=0.25)
-    e = identity_effect(2)
+    e = Effect(np.eye(2))
     v = 0.5
     plus, minus = build_refinement_effects(e, v, p)
     post_plus = build_postselection_effect(e, v, "+", p)
@@ -162,7 +162,7 @@ def test_postselect_hypothesis_matches_dense_conjugation():
 def test_shadow_trivial_instance_halts_immediately():
     # maximally mixed truth matches the initial hypothesis: no detector fires
     rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
-    effects = [identity_effect(2), zero_effect(2)]
+    effects = [Effect(np.eye(2)), zero_effect(2)]
     p = small_params(m=2)
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(2, 0))
     run = run_shadow_tomography(effects, src, p)
