@@ -28,6 +28,11 @@ POST_ARITHMETIC_ATOL = 1e-8
 # floating-point drift and raise NotPSDError on anything lower.
 PSD_ROOT_ATOL = 1e-6
 
+# Conditioning on a branch whose probability is at most this raises
+# (DegenerateBranchError in a collapse, DegeneratePostselectionError in a
+# hypothesis update): renormalizing it would amplify rounding.
+DEGENERATE_BRANCH_PROB = 1e-12
+
 
 @dataclass(frozen=True)
 class Constants:

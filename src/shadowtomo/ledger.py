@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     BudgetExhaustedError,
+    DegenerateBranchError,
     DimensionMismatchError,
     ModeUnsupportedError,
     NotPSDError,
@@ -44,7 +45,6 @@ from .quantum import (
     Effect,
     Measurement,
     accept_prob,
-    collapse,
     controlled_or_test,
     dense_operator,
     leaf_effect,
@@ -52,7 +52,7 @@ from .quantum import (
     threshold_outcomes,
     unit_width,
 )
-from .config import POST_ARITHMETIC_ATOL, PSD_ROOT_ATOL
+from .config import DEGENERATE_BRANCH_PROB, POST_ARITHMETIC_ATOL, PSD_ROOT_ATOL
 from . import linalg
 
 
@@ -246,11 +246,11 @@ class PerCopyBatch(CopyBatch):
 
     Copies with the same outcome history share one stored state. Every copy
     starts in the hidden state, and a collapse is a deterministic function of
-    (state, effect, outcome), so such copies hold the same state bit for bit:
-    the batch keeps a stack of distinct states, `_distinct`, and each copy's
-    row in it, `_row`, and collapses each distinct state once per outcome.
-    The kernel computes every row on its own, so a row's result does not
-    depend on which other rows share the stack."""
+    (state, effect, outcome), so such copies hold the same state: the batch
+    keeps a stack of distinct states, `_distinct`, and each copy's row in
+    it, `_row`. Each (outcome, parent row) child that some copy reaches is
+    collapsed once, and the children of one outcome together, by two BLAS
+    products over their stacked states."""
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
@@ -261,24 +261,32 @@ class PerCopyBatch(CopyBatch):
 
     def _measure_copies(self, e: Effect, idx: np.ndarray) -> np.ndarray:
         """Collapse every copy in `idx` under `e`; returns accept booleans."""
-        rows, local = np.unique(self._row[idx], return_inverse=True)
+        rows, local = _compact(self._row[idx])
         mats = self._distinct[rows]
         probs = np.real(np.einsum("kij,ji->k", mats, np.asarray(e.mat)))
         probs = np.clip(probs, 0.0, 1.0)
         accepts = self.source.rng.random(len(idx)) < probs[local]
-        # a child is one (parent row, outcome) pair that some copy reaches
-        children, child_of = np.unique(2 * local + accepts, return_inverse=True)
-        parent, accepted = children // 2, children % 2 == 1
+        # a child is one (outcome, parent row) pair that some copy reaches,
+        # keyed outcome first so that each outcome's children form one slice
+        u = len(rows)
+        children, child_of = _compact(u * accepts + local)
+        outcome, parent = np.divmod(children, u)
+        # S and K are Hermitian, so K S = (S K)†: over one outcome's children
+        # one GEMM forms S K and a second (K S) K
+        d = e.dim
         k_acc, k_rej = _kraus_roots(np.asarray(e.mat))
-        kraus = np.where(accepted[:, None, None], k_acc, k_rej)
-        p = np.where(accepted, probs[parent], 1.0 - probs[parent])
-        post = kraus @ mats[parent] @ kraus
+        post = mats[parent]  # each child's parent state, overwritten by K S K
+        split = int(np.searchsorted(children, u))  # the rejected children come first
+        for part, k in ((slice(split), k_rej), (slice(split, None), k_acc)):
+            sk = (post[part].reshape(-1, d) @ k).reshape(-1, d, d)
+            np.matmul(np.conj(sk.transpose(0, 2, 1)).reshape(-1, d), k, out=post[part].reshape(-1, d))
+        p = np.where(outcome == 1, probs[parent], 1.0 - probs[parent])
         denom = np.maximum(p, 1e-300)[:, None, None]
         post = (post + np.conj(np.transpose(post, (0, 2, 1)))) / (2 * denom)
         # append the children, then drop every row no copy references
         row = self._row.copy()
         row[idx] = len(self._distinct) + child_of
-        live, self._row = np.unique(row, return_inverse=True)
+        live, self._row = _compact(row)
         self._distinct = np.concatenate([self._distinct, post])[live]
         return accepts
 
@@ -296,6 +304,15 @@ class PerCopyBatch(CopyBatch):
     def measure_units(self, m: Measurement) -> np.ndarray:
         self._check_units(m)
         return self._unit_outcomes(m)
+
+
+def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True) for non-negative int keys, found
+    by counting instead of sorting: the distinct keys ascending, and each
+    key's index among them."""
+    present = np.zeros(keys.max(initial=-1) + 1, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
 def _kraus_roots(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,11 +334,13 @@ class ExactBatch(CopyBatch):
     """exact_tensor: the whole batch is one joint density matrix.
 
     Every measurement collapses the joint state unit by unit, in unit order,
-    under the unit's dense operator embedded at its copies: a collective
-    measurement is one unit spanning the batch, and a count is one unit per
-    copy. An OR round is the control-qubit test (`controlled_or_test`) on
-    the joint state, which it leaves in the test's post state with the
-    control traced out. Dimension-capped."""
+    under the unit's dense operator at its copies: the Kraus root of a drawn
+    branch is taken once per measurement, on the unit's space, and applied
+    to the unit's factor of the joint by reshaped matrix products. A
+    collective measurement is one unit spanning the batch, and a count is
+    one unit per copy. An OR round is the control-qubit test
+    (`controlled_or_test`) on the joint state, which it leaves in the test's
+    post state with the control traced out. Dimension-capped."""
 
     def __init__(self, source: CopySource, n_copies: int):
         super().__init__(source, n_copies)
@@ -330,12 +349,6 @@ class ExactBatch(CopyBatch):
             self._joint = np.eye(1, dtype=np.complex128)
         else:
             self._joint = linalg.tensor_power(source._true_state.mat, n_copies)
-
-    def _embed(self, op: np.ndarray, offset_copies: int, span: int) -> np.ndarray:
-        d = self.source.dim
-        left = np.eye(d**offset_copies)
-        right = np.eye(d ** (self.n_copies - offset_copies - span))
-        return np.kron(np.kron(left, op), right)
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
@@ -347,15 +360,35 @@ class ExactBatch(CopyBatch):
         return bool(self.measure_units(m)[0])
 
     def measure_units(self, m: Measurement) -> np.ndarray:
+        """Raises NotPSDError as `herm_sqrt` does on a drawn branch's unit
+        operator, and DegenerateBranchError on drawing a branch of
+        probability at most DEGENERATE_BRANCH_PROB."""
         n_units = self._check_units(m)
         if isinstance(m, AnyOf):
             raise ModeUnsupportedError("exact mode measures one OR round per collective call")
-        w = unit_width(m)
         op = dense_operator(m)
+        span, dim = op.shape[0], self._joint.shape[0]
+        roots: dict[bool, np.ndarray] = {}
         out = np.empty(n_units, dtype=bool)
         for u in range(n_units):
-            big = self._embed(op, u * w, w)
-            p = min(1.0, max(0.0, float(np.real(np.trace(big @ self._joint)))))
-            out[u] = self.source.rng.random() < p
-            _, self._joint = collapse(self._joint, big, bool(out[u]))
+            # unit u acts on the middle factor of C^left ⊗ C^span ⊗ C^right
+            left = span**u
+            right = dim // (left * span)
+            blocks = self._joint.reshape(left, span, right, left, span, right)
+            p = min(1.0, max(0.0, float(np.real(np.einsum("aibajb,ji->", blocks, op)))))
+            accept = bool(self.source.rng.random() < p)
+            out[u] = accept
+            # only a drawn branch takes its root, so only it can lack one
+            if accept not in roots:
+                roots[accept] = linalg.herm_sqrt(op if accept else np.eye(span) - op)
+            k = roots[accept]
+            branch_p = p if accept else 1.0 - p
+            if branch_p <= DEGENERATE_BRANCH_PROB:
+                raise DegenerateBranchError(f"branch probability {branch_p:.3e}")
+            # with K' = I ⊗ K ⊗ I applied to the rows, K' (K' J)† = (K' J K')†,
+            # whose Hermitian part is the collapsed state's
+            t = (k @ self._joint.reshape(left, span, -1)).reshape(dim, dim)
+            t = (k @ t.conj().T.reshape(left, span, -1)).reshape(dim, dim)
+            post = linalg.hermitize(t)
+            self._joint = post / float(np.real(np.trace(post)))
         return out

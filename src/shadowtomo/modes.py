@@ -20,7 +20,8 @@ per_copy_collapse
     seed 0 the orbound scenario in this mode gets all 10 of its first 20
     trials' all-below instances wrong. Copies with the same outcome history
     share one stored state, so a block costs one collapse per distinct
-    history, not per copy. Honest about per-copy damage, never materializes
+    history, not per copy, and one measurement's collapses run as grouped
+    matrix products. Honest about per-copy damage, never materializes
     a joint state, but cannot represent coherence across registers (for
     commuting/diagonal instances it is exact).
 

@@ -37,7 +37,7 @@ from typing import Literal, Union
 import numpy as np
 from scipy import special
 
-from .config import CONSTRUCTION_ATOL, POST_ARITHMETIC_ATOL
+from .config import CONSTRUCTION_ATOL, DEGENERATE_BRANCH_PROB, POST_ARITHMETIC_ATOL
 from .errors import DegenerateBranchError, DimensionMismatchError
 from . import linalg
 
@@ -201,13 +201,14 @@ def collapse(state: np.ndarray, effect: np.ndarray, accept: bool) -> tuple[float
     """Canonical two-outcome collapse on raw matrices.
 
     Returns (branch probability, unnormalized-then-renormalized post state).
-    Raises DegenerateBranchError when the branch probability is <= 1e-12.
+    Raises DegenerateBranchError when the branch probability is at most
+    DEGENERATE_BRANCH_PROB.
     """
     branch = effect if accept else np.eye(effect.shape[0]) - effect
     k = linalg.herm_sqrt(branch)
     prob = float(np.real(np.trace(branch @ state)))
     prob = min(1.0, max(0.0, prob))
-    if prob <= 1e-12:
+    if prob <= DEGENERATE_BRANCH_PROB:
         raise DegenerateBranchError(f"branch probability {prob:.3e}")
     post = linalg.hermitize(k @ state @ k)
     post = post / float(np.real(np.trace(post)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_CONSTANTS
+from .config import DEFAULT_CONSTANTS, DEGENERATE_BRANCH_PROB
 from .errors import (
     DegeneratePostselectionError,
     DimensionMismatchError,
@@ -237,7 +237,7 @@ def postselect_hypothesis(h: Hypothesis, f: ThresholdEffect) -> Hypothesis:
     fvals = threshold_diagonal_values(evals, h.q, f.threshold, f.direction)
     sigma = linalg.conjugate_each_register(h.amplified, u.conj().T, h.d, h.q)
     p_acc = float(np.real(np.sum(fvals * np.diagonal(sigma))))
-    if p_acc <= 1e-12:
+    if p_acc <= DEGENERATE_BRANCH_PROB:
         raise DegeneratePostselectionError(
             f"acceptance probability {p_acc:.3e} too small to condition on"
         )

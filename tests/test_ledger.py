@@ -1,12 +1,20 @@
 """Tests for copy accounting and the mode-specific batch semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from shadowtomo import linalg
-from shadowtomo.errors import BudgetExhaustedError, DimensionMismatchError, ModeUnsupportedError
+from shadowtomo.errors import (
+    BudgetExhaustedError,
+    DegenerateBranchError,
+    DimensionMismatchError,
+    ModeUnsupportedError,
+    NotPSDError,
+)
 from shadowtomo.instances import random_density, random_effect, random_projector
 from shadowtomo.config import POST_ARITHMETIC_ATOL
 from shadowtomo.ledger import (
@@ -16,6 +24,7 @@ from shadowtomo.ledger import (
     ExactBatch,
     PerCopyBatch,
     StatisticalBatch,
+    _compact,
 )
 from shadowtomo.modes import FidelityMode
 from shadowtomo.quantum import (
@@ -328,7 +337,9 @@ def test_exact_outcomes_and_joint_match_dense_loop(d, data):
         want = _ref_exact(ref, op, m)
         assert type(got) is type(want)
         np.testing.assert_array_equal(got, want)
-        assert batch._joint.tobytes() == ref._joint.tobytes()
+        # reshaped products on the unit's factor against the embedded dense
+        # collapse: the same operator, rounded in another order
+        assert np.max(np.abs(batch._joint - ref._joint)) <= 1e-12
     assert batch.source.rng.random() == ref.source.rng.random()
 
 
@@ -364,6 +375,41 @@ def test_exact_batch_zero_copies_guard():
     src = CopySource(mixed_state(), FidelityMode.EXACT_TENSOR, substream(9, 0))
     batch = src.dispense(0, "x")
     assert batch.n_copies == 0
+
+
+class _ZeroUniforms:
+    """Draws 0.0, which accepts any branch of p > 0, and counts the draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.0
+
+
+def _zero_uniform_source(diag):
+    rho = DensityMatrix(np.diag(diag).astype(complex))
+    src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(12, 0))
+    src.rng = _ZeroUniforms()
+    return src
+
+
+def test_exact_batch_raises_on_a_degenerate_branch_or_a_non_effect():
+    # each error comes after the uniform that drew the branch, as in `collapse`
+    src = _zero_uniform_source([1.0, 0.0])
+    with pytest.raises(DegenerateBranchError):
+        src.dispense(2, "x").measure_units(Effect(np.diag([1e-14, 1.0]).astype(complex)))
+    assert src.rng.draws == 1
+    # an eigenvalue below -PSD_ROOT_ATOL leaves sqrt(E) undefined; sqrt(I - E)
+    # exists, so only drawing the accept branch raises
+    loose = Effect(np.diag([-1e-4, 0.5]).astype(complex), atol=1e-3)
+    src = _zero_uniform_source([1.0, 0.0])
+    np.testing.assert_array_equal(src.dispense(2, "x").measure_units(loose), [False, False])
+    src = _zero_uniform_source([0.0, 1.0])
+    with pytest.raises(NotPSDError):
+        src.dispense(2, "x").measure_units(loose)
+    assert src.rng.draws == 1
 
 
 # The stacked kernel against the kernel it replaced: per copy, a two-branch
@@ -413,6 +459,24 @@ def test_per_copy_kernel_matches_copy_stack_einsum(d, n, data):
     assert batch.source.rng.random() == ref_rng.random()
 
 
+def test_per_copy_kernel_scratch_memory_stays_within_a_few_stacks():
+    # a Kronecker form of the two roots would take 2 d**4 entries (32 MiB here)
+    d, n = 32, 6
+    rng = substream(5, 0)
+    rho, e = random_density(d, rng), random_effect(d, rng)
+    batch = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(5, 1)).dispense(n, "x")
+    ref_rng = substream(5, 1)
+    ref_states = np.broadcast_to(rho.mat, (n, d, d)).copy()
+    for _ in range(2):
+        tracemalloc.start()
+        got = batch._measure_copies(e, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        np.testing.assert_array_equal(got, _ref_measure_copies(ref_states, ref_rng, e, np.arange(n)))
+        assert peak <= 16 * n * d * d * 16
+    assert np.max(np.abs(batch._distinct[batch._row] - ref_states)) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 3), st.integers(0, 40), st.data())
 def test_per_copy_storage_is_one_row_per_outcome_history(d, n, data):
@@ -441,6 +505,44 @@ def test_per_copy_storage_is_one_row_per_outcome_history(d, n, data):
         for c, h in enumerate(histories):
             assert batch._row[c] == batch._row[first_copy[h]]
     assert batch._distinct[batch._row].shape == (n, d, d)
+
+
+# The counting compaction against the sort it replaced: distinct keys, each
+# key's index among them, dtypes and shapes all as np.unique gives them.
+
+
+def _whole_range_keys(n):
+    """Every key in [0, n) at least once, in any order, some repeated."""
+    extra = st.lists(st.integers(0, max(n - 1, 0)), max_size=n)
+    return st.tuples(st.permutations(range(n)), extra).map(lambda t: t[0] + t[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 2**12), max_size=60),
+        st.integers(0, 40).flatmap(_whole_range_keys),
+        st.just([]),
+    )
+)
+def test_compact_is_np_unique_with_inverse(keys):
+    keys = np.array(keys, dtype=np.intp)
+    for got, want in zip(_compact(keys), np.unique(keys, return_inverse=True)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_per_copy_batch_of_zero_copies_measures_nothing(d):
+    rng = substream(11, 0)
+    rho, e = random_density(d, rng), random_effect(d, rng)
+    src = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(11, 1))
+    ref = substream(11, 1)
+    batch = src.dispense(0, "x")
+    assert batch._measure_copies(e, np.arange(0)).shape == (0,)
+    assert batch.measure_count(e) == 0
+    assert batch._distinct.shape == (0, d, d) and batch._row.shape == (0,)
+    assert src.rng.random() == ref.random()  # no uniform was drawn
 
 
 @pytest.mark.parametrize("n_copies", [2, 3])

@@ -86,6 +86,41 @@ def test_derive_params_bookkeeping():
     assert p.k_pred == p.t_bound * p.q * p.ell_search
 
 
+def test_operating_point_realizes_log4m_logd_eps5(monkeypatch):
+    # derive_params at the derived q, with no trials: the dense cap guards a
+    # hypothesis this test never builds, so it is lifted here. Each check
+    # fails if a formula change moves an exponent.
+    from shadowtomo import linalg
+
+    monkeypatch.setattr(linalg, "check_dense_dim", lambda dim, what: None)
+
+    def k_pred(d=2, m=8, epsilon=0.25):
+        return derive_params(d, m, epsilon, 1.0 / 3.0).k_pred
+
+    assert k_pred() == 2_298_733_151_346  # q*=153, T bound 3,394
+    # log⁴M: k_pred / log₂(2M)⁴ stays in one band (up to a ln ln M factor)
+    # from M=2 to 2²⁰; log⁵M would grow it 21-fold. The band's low edge is
+    # 0.884e10, at M=4.
+    ratios = [k_pred(m=2**j) / math.log2(2 ** (j + 1)) ** 4 for j in range(1, 21)]
+    assert 0.88e10 <= min(ratios) and max(ratios) <= 1.18e10
+    # ε⁻⁵ up to logs, one power above the abstract's ε⁻⁴: the local slope of
+    # ln k_pred against ln(1/ε) at M=8 falls towards 5 as ε shrinks
+    slopes = [
+        math.log(k_pred(epsilon=lo) / k_pred(epsilon=hi)) / math.log(hi / lo)
+        for hi, lo in ((0.4, 0.3), (0.25, 0.2), (0.15, 0.1), (0.1, 0.05))
+    ]
+    assert slopes == pytest.approx([6.54, 6.25, 6.00, 5.85], abs=0.01)
+    # log D up to logs: q* grows from 153 to 199 between D=2 and D=256, and
+    # k_pred / (q*² ln D) moves only through ell_search's ln ln D
+    dims = (2, 4, 16, 64, 256)
+    points = [derive_params(d, 8, 0.25, 1.0 / 3.0) for d in dims]
+    assert [p.q for p in points] == [153, 153, 154, 180, 199]
+    assert points[-1].k_pred == pytest.approx(4.33e13, rel=1e-3)
+    per_log_d = [p.k_pred / (p.q**2 * math.log(p.d)) for p in points]
+    assert per_log_d == sorted(per_log_d)
+    assert 1.4e8 <= per_log_d[0] and per_log_d[-1] <= 2.0e8
+
+
 def test_hypothesis_initial_is_maximally_mixed():
     h = Hypothesis.initial(2, 3)
     assert np.allclose(h.amplified, np.eye(8) / 8.0)
