@@ -7,18 +7,22 @@ are sampled measurement outcomes. Classical arithmetic on the algorithm's own
 hypothesis is free and never touches the ledger.
 
 In fresh_copy_statistical mode a CopySource memoizes each measurement's
-per-unit acceptance probability, keyed by object identity. This is sound
-because that mode never changes the hidden state, the state is immutable, and
-every Effect and ThresholdEffect is frozen: the same object always has the
-same acceptance. The memo only skips recomputation: every dispense still
-debits the ledger, and every measurement still checks its shape and draws
-its outcomes from the source's generator.
+per-unit acceptance probability, and the acceptance of its leaf effect, both
+keyed by object identity in one memo, so Tr(E rho) is taken once per distinct
+leaf however many thresholds are built over it. This is sound because that
+mode never changes the hidden state, the state is immutable, and every
+Effect and ThresholdEffect is frozen: the same object always has the same
+acceptance. The memo only skips recomputation: every dispense still debits
+the ledger, and every measurement still checks its shape and draws its
+outcomes from the source's generator.
 
 Each batch is the only code that knows how its mode realizes an OR round
 (an AnyOf); no joint state or probability leaves it. In fresh mode an AnyOf
 over many units is drawn in one vectorized pass that consumes exactly the
 uniforms a unit-by-unit, member-by-member loop would, in the same order, so
-its outcomes and every later draw match that loop's. Per-copy and exact
+its outcomes and every later draw match that loop's: a sweep over the
+members, last to first, finds the first accepting member for every start
+position at once. Per-copy and exact
 batches measure one round at a time, with measure_collective: per-copy mode
 applies the members in order to its tracked copies until one accepts, and
 exact mode runs the control-qubit test on its joint state. They raise
@@ -175,15 +179,20 @@ class StatisticalBatch(CopyBatch):
 
     Every probability is read through the source's memo: with no tracked
     state, an immutable hidden state and frozen measurements, a measurement's
-    acceptance is computed once per source. The memo changes no draw.
+    acceptance, and its leaf effect's, is computed once per source. The memo
+    changes no draw.
     """
 
     def _unit_prob(self, m: Measurement) -> float:
         memo = self.source._unit_probs
         entry = memo.get(id(m))
         if entry is None:
-            v = accept_prob(leaf_effect(m), self.source._true_state)
-            entry = memo[id(m)] = (m, threshold_accept_prob(m, v))
+            leaf = leaf_effect(m)
+            if m is leaf:
+                v = accept_prob(leaf, self.source._true_state)
+            else:
+                v = threshold_accept_prob(m, self._unit_prob(leaf))
+            entry = memo[id(m)] = (m, v)
         return entry[1]
 
     def measure_collective(self, m: Measurement) -> bool:
@@ -206,9 +215,10 @@ class StatisticalBatch(CopyBatch):
         member in order and stops at the first uniform below its member's
         acceptance. Each unit starts where the previous one stopped, so this
         draws the most uniforms the loop could use, finds for every start
-        position how many a unit starting there uses, hops from unit to unit
-        through those counts, then rewinds the generator and draws only the
-        uniforms the loop would have used, leaving it where the loop would.
+        position how many a unit starting there uses (one comparison of a
+        contiguous slice per member), hops from unit to unit through those
+        counts, then rewinds the generator and draws only the uniforms the
+        loop would have used, leaving it where the loop would.
         """
         if n_units == 0:
             return np.zeros(0, dtype=bool)
@@ -217,11 +227,15 @@ class StatisticalBatch(CopyBatch):
         rng = self.source.rng
         state = rng.bit_generator.state
         u = rng.random(n_units * k)
-        # hits[s, i]: a unit starting at uniform s accepts at member i
-        hits = np.lib.stride_tricks.sliding_window_view(u, k) < probs
-        accepted = hits.any(axis=1)
-        used = np.where(accepted, hits.argmax(axis=1) + 1, k)
-        accepted, used = accepted.tolist(), used.tolist()
+        starts = len(u) - k + 1
+        # first[s]: the 1-based first member that accepts in a unit starting
+        # at uniform s, 0 if none does; swept last to first, so the earliest
+        # accepting member writes last
+        first = np.zeros(starts, dtype=np.intp)
+        for i in range(k - 1, -1, -1):
+            first[u[i : i + starts] < probs[i]] = i + 1
+        accepted = (first > 0).tolist()
+        used = np.where(first > 0, first, k).tolist()
         out = []
         pos = 0
         for _ in range(n_units):

@@ -46,6 +46,7 @@ from .results import TrialRow, aggregate, success_rate, write_csv, write_json
 from .rng import substream
 from .search import SearchParams, gentle_search, search_copy_bound
 from .shadow import (
+    ShadowParams,
     Transcript,
     derive_params,
     gap_test_size,
@@ -304,17 +305,25 @@ def _markov_ok(transcript: Transcript, epsilon: float) -> bool:
     return True
 
 
-def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, rng):
-    """One shadow run on `inst`; its copy source continues `rng`, the
-    generator the instance was drawn from."""
-    params = derive_params(d, m, cfg.epsilon, cfg.delta, q=cfg.q)
+def _shadow_params(cfg: ScenarioConfig) -> ShadowParams:
+    return derive_params(cfg.d, cfg.m, cfg.epsilon, cfg.delta, q=cfg.q)
+
+
+def _money_params(cfg: ScenarioConfig) -> ShadowParams:
+    """A bill of n qubits is a state on D = 2^n with M = 4^n verifiers."""
+    return derive_params(2**cfg.qubits, 4**cfg.qubits, cfg.epsilon, cfg.delta, q=cfg.q)
+
+
+def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowParams, rng):
+    """One shadow run on `inst` at `params`; its copy source continues `rng`,
+    the generator the instance was drawn from."""
     source = _source(cfg, inst.rho, rng)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
     try:
         run = run_shadow_tomography(list(inst.effects), source, params)
     except IterationBoundExceededError as exc:
         row = TrialRow(
-            cfg.scenario, trial, cfg.seed, d, m, cfg.epsilon, cfg.delta, cfg.mode,
+            cfg.scenario, trial, cfg.seed, params.d, params.m, cfg.epsilon, cfg.delta, cfg.mode,
             source.ledger.consumed, params.k_pred, 1.0, False, params.t_bound,
         )
         extras.update(
@@ -329,7 +338,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, r
     t_ok = run.transcript.t_final <= params.t_bound
     ledger_ok = run.copies_consumed <= params.k_pred
     row = TrialRow(
-        cfg.scenario, trial, cfg.seed, d, m, cfg.epsilon, cfg.delta, cfg.mode,
+        cfg.scenario, trial, cfg.seed, params.d, params.m, cfg.epsilon, cfg.delta, cfg.mode,
         run.copies_consumed, params.k_pred, err, success, run.transcript.t_final,
     )
     extras.update(
@@ -340,8 +349,8 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, r
             "t_ok": t_ok,
             "ledger_ok": ledger_ok,
             "final_p": run.final_p,
-            "p_floor": 0.9 / d**params.q,
-            "p_floor_ok": run.final_p >= 0.9 / d**params.q,
+            "p_floor": 0.9 / params.d**params.q,
+            "p_floor_ok": run.final_p >= 0.9 / params.d**params.q,
         }
     )
     return row, extras
@@ -350,15 +359,13 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, d: int, m: int, r
 def _trial_shadow(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     inst = projector_instance(cfg.d, cfg.m, rng)
-    return _shadow_style_trial(cfg, trial, inst, cfg.d, cfg.m, rng)
+    return _shadow_style_trial(cfg, trial, inst, _shadow_params(cfg), rng)
 
 
 def _trial_money(cfg: ScenarioConfig, trial: int):
     rng = substream(cfg.seed, trial)
     wiesner, inst = make_wiesner_instance(cfg.qubits, rng)
-    d = 2**cfg.qubits
-    m = 4**cfg.qubits
-    row, extras = _shadow_style_trial(cfg, trial, inst, d, m, rng)
+    row, extras = _shadow_style_trial(cfg, trial, inst, _money_params(cfg), rng)
     if "error" not in extras:
         idx = wiesner.true_key_index
         err = abs(extras["estimates"][idx] - inst.ground_truth[idx])
@@ -518,7 +525,8 @@ def _check_hlw(cfg, rows, extras):
 @dataclass(frozen=True)
 class Scenario:
     """One scenario: its catalog line, the defaults `resolve` fills in, the
-    per-trial runner and the scenario-level threshold check.
+    per-trial runner, the scenario-level threshold check and, for a
+    shadow-style scenario, the operating point its trials run at.
 
     A record holds only this module's private `_trial_*` and `_check_*`
     functions; those look up every library call at call time, so a wrapper
@@ -529,6 +537,7 @@ class Scenario:
     defaults: dict
     run: Callable[[ScenarioConfig, int], tuple[TrialRow, dict]]
     check: Callable[[ScenarioConfig, list[TrialRow], list[dict]], tuple[dict, bool]]
+    operating_point: Callable[[ScenarioConfig], ShadowParams] | None = None
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -579,6 +588,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _trial_shadow,
         _check_shadow,
+        _shadow_params,
     ),
     "gap": Scenario(
         "promise-gap decisions for diagonal instances from one shared copy block",
@@ -624,6 +634,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _trial_money,
         _check_shadow,
+        _money_params,
     ),
 }
 
@@ -644,6 +655,14 @@ def _run_trial_star(args: tuple[ScenarioConfig, int]) -> tuple[TrialRow, dict]:
 
 # ---------------------------------------------------------------------------
 # scenario execution and emission
+
+
+# The copy count derive_params realizes at the derived q, as
+# test_operating_point_realizes_log4m_logd_eps5 pins it
+_REALIZED_EXPONENTS = (
+    "log^4(M) * log(D) * eps^-5, up to log factors: one power of 1/eps above "
+    "the abstract's eps^-4"
+)
 
 
 @dataclass(frozen=True)
@@ -678,17 +697,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutcome:
     rows = [row for row, _ in outcomes]
     extras = [extra for _, extra in outcomes]
 
-    threshold_info, met = SCENARIOS[cfg.scenario].check(cfg, rows, extras)
+    scenario = SCENARIOS[cfg.scenario]
+    threshold_info, met = scenario.check(cfg, rows, extras)
     summary = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
         "mode": cfg.mode,
         "parameters": _parameters_echo(cfg),
         "constants": DEFAULT_CONSTANTS.as_dict(),
-        "aggregate": aggregate(rows),
-        "thresholds": threshold_info,
-        "thresholds_met": met,
     }
+    if scenario.operating_point is not None:
+        summary["operating_point"] = {
+            **scenario.operating_point(cfg).as_dict(),
+            "realized_exponents": _REALIZED_EXPONENTS,
+        }
+    summary.update(aggregate=aggregate(rows), thresholds=threshold_info, thresholds_met=met)
 
     target = Path(cfg.out_dir)
     target.mkdir(parents=True, exist_ok=True)

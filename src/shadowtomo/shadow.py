@@ -154,20 +154,28 @@ def derive_params(
 
 
 class Hypothesis:
-    """The classically stored amplified hypothesis state.
+    """The classically stored amplified hypothesis state, held in a frame.
 
-    amplified  D^q density matrix (kept as a raw hermitized array; validity
-               is a tested invariant, not a per-update eigencheck)
+    amplified  D^q density matrix in the frame `basis` (kept as a raw
+               hermitized array; validity is a tested invariant, not a
+               per-update eigencheck)
+    basis      D x D unitary B, the eigenbasis of the last postselection's
+               base effect (I initially): the hypothesis state is
+               B^{⊗q} amplified B^{⊗q}†
     reduced    average single-register reduced state, the D x D matrix whose
-               effect expectations are the hypothesis values
+               effect expectations are the hypothesis values; conjugating
+               every register commutes with the single-register partial
+               trace, so it is B (average trace of amplified) B†
     p          probability that all postselections so far succeeded
     """
 
-    __slots__ = ("amplified", "reduced", "d", "q", "p")
+    __slots__ = ("amplified", "basis", "reduced", "d", "q", "p")
 
-    def __init__(self, amplified: np.ndarray, d: int, q: int, p: float):
+    def __init__(self, amplified: np.ndarray, basis: np.ndarray, d: int, q: int, p: float):
         self.amplified = amplified
-        self.reduced = linalg.average_single_register_trace(amplified, d, q)
+        self.basis = basis
+        reduced = linalg.average_single_register_trace(amplified, d, q)
+        self.reduced = basis @ reduced @ basis.conj().T
         self.d = d
         self.q = q
         self.p = p
@@ -176,7 +184,8 @@ class Hypothesis:
     def initial(cls, d: int, q: int) -> "Hypothesis":
         dim = d**q
         linalg.check_dense_dim(dim, "amplified hypothesis")
-        return cls(np.eye(dim, dtype=np.complex128) / dim, d, q, 1.0)
+        eye = np.eye(d, dtype=np.complex128)
+        return cls(np.eye(dim, dtype=np.complex128) / dim, eye, d, q, 1.0)
 
     def value(self, e: Effect) -> float:
         """Tr(E rho_t) against the reduced hypothesis state."""
@@ -224,10 +233,12 @@ def postselect_hypothesis(h: Hypothesis, f: ThresholdEffect) -> Hypothesis:
     """Condition the hypothesis on threshold measurement f accepting.
 
     New state sqrt(F) rho* sqrt(F) / Tr(F rho*); p multiplies by the
-    acceptance probability. The base must be a single-register effect: the
-    update runs in its eigenbasis, where the threshold operator is diagonal
-    with Poisson-binomial tail entries, so no D^q x D^q operator is ever
-    materialized.
+    acceptance probability. The base must be a single-register effect E =
+    U diag(e) U†: the threshold operator is diagonal, with Poisson-binomial
+    tail entries, in the frame U, so no D^q x D^q operator is ever
+    materialized. One register-wise conjugation, by U† B, moves the stored
+    state from its frame B into U; there it is scaled entrywise, and it stays
+    in U as the new frame.
     """
     if not isinstance(f.base, Effect):
         raise DimensionMismatchError("nested threshold postselection is not supported")
@@ -235,16 +246,15 @@ def postselect_hypothesis(h: Hypothesis, f: ThresholdEffect) -> Hypothesis:
         raise DimensionMismatchError("threshold shape does not match the hypothesis registers")
     evals, u = linalg.eigh_spectrum(np.asarray(f.base.mat))
     fvals = threshold_diagonal_values(evals, h.q, f.threshold, f.direction)
-    sigma = linalg.conjugate_each_register(h.amplified, u.conj().T, h.d, h.q)
+    sigma = linalg.conjugate_each_register(h.amplified, u.conj().T @ h.basis, h.d, h.q)
     p_acc = float(np.real(np.sum(fvals * np.diagonal(sigma))))
     if p_acc <= DEGENERATE_BRANCH_PROB:
         raise DegeneratePostselectionError(
             f"acceptance probability {p_acc:.3e} too small to condition on"
         )
     root = np.sqrt(fvals)
-    sigma = sigma * root[:, None] * root[None, :] / p_acc
-    post = linalg.hermitize(linalg.conjugate_each_register(sigma, u, h.d, h.q))
-    return Hypothesis(post, h.d, h.q, h.p * p_acc)
+    sigma *= np.outer(root, root / p_acc)
+    return Hypothesis(linalg.hermitize(sigma), u, h.d, h.q, h.p * p_acc)
 
 
 @dataclass(frozen=True)

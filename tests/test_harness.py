@@ -241,6 +241,7 @@ def test_run_scenario_emits_files_and_is_reproducible(tmp_path):
     assert summary["parameters"]["D"] == 4 and summary["parameters"]["M"] == 16
     assert "d" not in summary["parameters"] and "m" not in summary["parameters"]
     assert "dim_cap" not in summary["parameters"]
+    assert "operating_point" not in summary  # only shadow-style scenarios derive one
 
 
 def test_run_scenario_workers_match_serial(tmp_path):
@@ -269,6 +270,17 @@ def test_run_scenario_transcripts_emitted_for_shadow(tmp_path):
             "copies_debited",
             "bar_values",
         }
+
+
+@pytest.mark.parametrize("scenario, d, m", [("shadow", 2, 8), ("money-demo", 4, 16)])
+def test_shadow_style_summary_states_the_operating_point(scenario, d, m, tmp_path):
+    run_scenario(ScenarioConfig(scenario=scenario, trials=1, q=3, out_dir=str(tmp_path)))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary)[4:6] == ["constants", "operating_point"]
+    point = summary["operating_point"]
+    want = shadow.derive_params(d, m, 0.25, 1.0 / 3.0, q=3).as_dict()
+    assert {k: point[k] for k in want} == want and want["non_theoretical"] is True
+    assert point["realized_exponents"].startswith("log^4(M) * log(D) * eps^-5")
 
 
 def test_cli_list_scenarios(capsys):

@@ -623,7 +623,7 @@ _MEMBER_PROB = st.one_of(st.none(), st.sampled_from((0.0, 1.0)), st.floats(0.0, 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(0, 2**16),
-    st.lists(_MEMBER_PROB, min_size=1, max_size=16).filter(lambda ps: any(p is not None for p in ps)),
+    st.lists(_MEMBER_PROB, min_size=1, max_size=33).filter(lambda ps: any(p is not None for p in ps)),
     st.integers(1, 500),
     st.booleans(),
 )
@@ -694,6 +694,36 @@ def test_exact_any_of_is_the_control_qubit_test_on_the_joint(n, rounds, data):
         assert type(got) is bool and got == want
         assert batch._joint.tobytes() == joint.tobytes()
     assert batch.source.rng.random() == ref_rng.random()
+
+
+def test_fresh_source_computes_each_leaf_acceptance_once(monkeypatch):
+    # a full search over the 2M deviation detectors of M effects, as shadow
+    # tomography builds them: both detectors of an effect, and every
+    # amplified threshold and verification over them, share its leaf
+    from shadowtomo import ledger
+    from shadowtomo.search import SearchParams, gentle_search
+
+    calls = []
+    real = ledger.accept_prob
+    monkeypatch.setattr(ledger, "accept_prob", lambda e, rho: calls.append(e) or real(e, rho))
+    rng = substream(9, 0)
+    rho = random_density(2, rng)
+    leaves = [random_effect(2, rng) for _ in range(4)]
+    detectors = [
+        ThresholdEffect(e, 3, t, direction)
+        for e in leaves
+        for t, direction in ((2, "at_least"), (1, "at_most"))
+    ]
+    params = SearchParams(c=5.0 / 6.0, epsilon=1.0 / 6.0, delta=0.01)
+    for s in range(2):
+        calls.clear()
+        src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(9, 1 + s))
+        for _ in range(2):
+            gentle_search(detectors, src, params)
+        # the first level's OR decision alone reaches two leaves
+        assert len(calls) >= 2
+        assert len({id(e) for e in calls}) == len(calls)
+        assert all(any(e is leaf for leaf in leaves) for e in calls)
 
 
 def test_any_of_needs_members_of_one_width_and_fresh_mode():
