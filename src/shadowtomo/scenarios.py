@@ -528,9 +528,10 @@ class Scenario:
     per-trial runner, the scenario-level threshold check and, for a
     shadow-style scenario, the operating point its trials run at.
 
-    A record holds only this module's private `_trial_*` and `_check_*`
-    functions; those look up every library call at call time, so a wrapper
-    installed on a module-level name also sees the calls made by a record.
+    A record holds only this module's private `_trial_*`, `_check_*` and
+    `_*_params` functions; those look up every library call at call time, so
+    a wrapper installed on a module-level name also sees the calls made by a
+    record.
     """
 
     blurb: str

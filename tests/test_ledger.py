@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from shadowtomo import linalg
+from shadowtomo import ledger, linalg
 from shadowtomo.errors import (
     BudgetExhaustedError,
     DegenerateBranchError,
@@ -42,6 +42,7 @@ from shadowtomo.quantum import (
     unit_width,
 )
 from shadowtomo.rng import substream
+from shadowtomo.search import SearchParams, gentle_search
 
 
 def mixed_state(d=2):
@@ -700,9 +701,6 @@ def test_fresh_source_computes_each_leaf_acceptance_once(monkeypatch):
     # a full search over the 2M deviation detectors of M effects, as shadow
     # tomography builds them: both detectors of an effect, and every
     # amplified threshold and verification over them, share its leaf
-    from shadowtomo import ledger
-    from shadowtomo.search import SearchParams, gentle_search
-
     calls = []
     real = ledger.accept_prob
     monkeypatch.setattr(ledger, "accept_prob", lambda e, rho: calls.append(e) or real(e, rho))

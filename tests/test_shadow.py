@@ -187,13 +187,13 @@ def test_postselect_hypothesis_matches_dense_conjugation():
     dense = np.asarray(materialize_threshold(f3).mat)
     want = dense @ h.amplified @ dense.conj().T  # projector-like PSD f: sqrt applies
     # oracle via sqrt for non-projector thresholds
-    from shadowtomo.linalg import conjugate_each_register, herm_sqrt
+    from shadowtomo.linalg import herm_sqrt
 
     root = herm_sqrt(dense)
     want = root @ h.amplified @ root
     p_acc = float(np.real(np.trace(dense @ h.amplified)))
     want = want / np.trace(want)
-    got = conjugate_each_register(updated.amplified, updated.basis, d, q)
+    got = linalg.conjugate_each_register(updated.amplified, updated.basis, d, q)
     assert np.allclose(got, want, atol=1e-8)
     assert abs(updated.p - p_acc) < 1e-10
 
