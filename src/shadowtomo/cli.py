@@ -16,11 +16,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 from .config import DEFAULT_CONSTANTS
 from .errors import ConfigError, ShadowTomoError
-from .scenarios import SCENARIOS, build_config, load_config_pairs, resolve, run_scenario
+from .scenarios import (
+    SCENARIOS,
+    build_config,
+    file_key,
+    load_config_pairs,
+    resolve,
+    run_scenario,
+)
 
 ENV_SEED = "SHADOWTOMO_SEED"
 
@@ -70,10 +76,9 @@ def _cmd_validate(args) -> int:
     pairs = _apply_overrides(load_config_pairs(args.config), args)
     cfg = resolve(build_config(pairs))
     print(f"config ok: scenario={cfg.scenario}")
-    for f in fields(cfg)[1:]:
-        value = getattr(cfg, f.name)
-        if value is not None:
-            print(f"  {f.name}={value}")
+    # every key the scenario reads; an optional key left unset shows None
+    for name in ("seed", *SCENARIOS[cfg.scenario].defaults, "out_dir", "workers"):
+        print(f"  {file_key(name)}={getattr(cfg, name)}")
     print(f"  constants={DEFAULT_CONSTANTS.as_dict()}")
     return 0
 

@@ -125,20 +125,6 @@ class ThresholdEffect:
             )
         object.__setattr__(self, "width", self.registers * unit_width(self.base))
 
-    @property
-    def base_dim(self) -> int:
-        return self.base.dim if isinstance(self.base, Effect) else self.base.total_dim
-
-    @property
-    def total_dim(self) -> int:
-        return self.base_dim**self.registers
-
-    @property
-    def never_accepts(self) -> bool:
-        if self.direction == "at_least":
-            return self.threshold == self.registers + 1
-        return self.threshold == -1
-
 
 @dataclass(frozen=True)
 class AnyOf:
@@ -176,10 +162,6 @@ def leaf_effect(m: Measurement) -> Effect:
     while isinstance(m, ThresholdEffect):
         m = m.base
     return m
-
-
-def zero_effect(dim: int) -> Effect:
-    return Effect(np.zeros((dim, dim), dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -278,42 +260,11 @@ def threshold_accept_prob(m: Measurement, leaf_value: float) -> float:
 
 
 def materialize_threshold(te: ThresholdEffect) -> Effect:
-    """Dense operator of a threshold effect.
-
-    Dynamic program over registers carrying count-indexed partial operators:
-    after r registers, table[c] is the sum of r-fold tensor products with
-    exactly c accepting factors. O(n^2) operator multiplications; the final
-    dimension is cap-checked before any work happens.
-    """
-    linalg.check_dense_dim(te.total_dim, "threshold materialization")
-    base = te.base if isinstance(te.base, Effect) else materialize_threshold(te.base)
-    acc = np.asarray(base.mat)
-    rej = np.eye(base.dim) - acc
-    n = te.registers
-
-    if te.never_accepts:
-        return zero_effect(te.total_dim)
-
-    table: list[np.ndarray] = [np.eye(1, dtype=np.complex128)]
-    for _ in range(n):
-        nxt: list[np.ndarray] = []
-        for c in range(len(table) + 1):
-            block = np.zeros((table[0].shape[0] * base.dim,) * 2, dtype=np.complex128)
-            if c < len(table):
-                block += np.kron(table[c], rej)
-            if c >= 1:
-                block += np.kron(table[c - 1], acc)
-            nxt.append(block)
-        table = nxt
-
-    if te.direction == "at_least":
-        qualifying = range(max(te.threshold, 0), n + 1)
-    else:
-        qualifying = range(0, min(te.threshold, n) + 1)
-    total = np.zeros((te.total_dim, te.total_dim), dtype=np.complex128)
-    for c in qualifying:
-        total += table[c]
-    return Effect(linalg.hermitize(total), atol=POST_ARITHMETIC_ATOL)
+    """Dense operator of a threshold effect: its spectrum conjugated into the
+    leaf eigenbasis, register by register."""
+    values, u = threshold_spectrum(te)
+    op = linalg.conjugate_each_register(np.diag(values), u, u.shape[0], te.width)
+    return Effect(linalg.hermitize(op), atol=POST_ARITHMETIC_ATOL)
 
 
 def dense_operator(m: Measurement) -> np.ndarray:
@@ -371,6 +322,22 @@ def threshold_diagonal_values(
     else:
         mask = counts <= threshold
     return table[:, mask].sum(axis=1)
+
+
+def threshold_spectrum(m: Measurement) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of `m`'s accepting operator and the leaf eigenbasis U.
+
+    With the leaf effect E = U diag(e) U†, a threshold over w = unit_width(m)
+    copies is diagonal in the U^{⊗w} product basis at every nesting depth:
+    each level's diagonal holds the tails (threshold_diagonal_values) of the
+    level below's. Returns those d^w entries, register 0 varying slowest,
+    and U; each level's size is cap-checked before it is built.
+    """
+    if isinstance(m, Effect):
+        return linalg.eigh_spectrum(np.asarray(m.mat))
+    values, u = threshold_spectrum(m.base)
+    linalg.check_dense_dim(values.shape[0] ** m.registers, "threshold spectrum")
+    return threshold_diagonal_values(values, m.registers, m.threshold, m.direction), u
 
 
 _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)

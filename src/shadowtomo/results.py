@@ -1,9 +1,9 @@
 """Trial rows, CSV/JSON emission, and summary aggregation.
 
-The CSV schema is fixed so downstream tooling can diff runs: one row per
-trial, identical header order everywhere, and purely value-determined
-formatting so that rerunning a scenario with the same config and seed
-reproduces the file byte for byte.
+The CSV schema is TrialRow's fields, fixed so downstream tooling can diff
+runs: one row per trial, identical header order everywhere, and purely
+value-determined formatting so that rerunning a scenario with the same
+config and seed reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -11,26 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-
-CSV_HEADER = [
-    "scenario",
-    "trial",
-    "seed",
-    "D",
-    "M",
-    "epsilon",
-    "delta",
-    "mode",
-    "copies_consumed",
-    "copies_predicted",
-    "max_error",
-    "success",
-    "iterations",
-]
 
 
 def _fmt(value) -> str:
@@ -59,22 +43,10 @@ class TrialRow:
     success: bool
     iterations: int
 
-    def as_csv_values(self) -> list[str]:
-        return [
-            self.scenario,
-            _fmt(self.trial),
-            _fmt(self.seed),
-            _fmt(self.d),
-            _fmt(self.m),
-            _fmt(self.epsilon),
-            _fmt(self.delta),
-            self.mode,
-            _fmt(self.copies_consumed),
-            _fmt(self.copies_predicted),
-            _fmt(self.max_error),
-            _fmt(self.success),
-            _fmt(self.iterations),
-        ]
+
+# The CSV columns are TrialRow's fields in order, with d and m written as D and M.
+_COLUMNS = tuple(f.name for f in fields(TrialRow))
+CSV_HEADER = [{"d": "D", "m": "M"}.get(name, name) for name in _COLUMNS]
 
 
 def csv_text(rows: list[TrialRow]) -> str:
@@ -82,7 +54,7 @@ def csv_text(rows: list[TrialRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow(row.as_csv_values())
+        writer.writerow([_fmt(getattr(row, name)) for name in _COLUMNS])
     return buf.getvalue()
 
 

@@ -88,11 +88,19 @@ class ScenarioConfig:
 # spelled as its field; the lowercase spellings of these four are rejected.
 _ALIASES = {"D": "d", "M": "m", "N": "n", "K": "k"}
 
+# Keys every scenario accepts; a scenario's defaults declare all the others.
+_RUN_KEYS = ("scenario", "seed", "out_dir", "workers")
+
 # field name -> int, float or str, read from the dataclass annotations
 _FIELD_TYPES = {
     name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
     for name, hint in get_type_hints(ScenarioConfig).items()
 }
+
+
+def file_key(name: str) -> str:
+    """The config-file spelling of field `name` (D/M/N/K uppercase)."""
+    return name.upper() if name in _ALIASES.values() else name
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -144,10 +152,21 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Fill scenario defaults and validate the result."""
+    """Reject keys the scenario does not read, fill its defaults and
+    validate the result."""
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; valid: {', '.join(SCENARIOS)}")
     defaults = SCENARIOS[cfg.scenario].defaults
+    unread = [
+        repr(file_key(f.name))
+        for f in fields(cfg)
+        if f.name not in _RUN_KEYS and f.name not in defaults and getattr(cfg, f.name) is not None
+    ]
+    if unread:
+        raise ConfigError(
+            f"scenario {cfg.scenario!r} does not read {', '.join(unread)}; "
+            f"it reads {', '.join(map(file_key, defaults))}"
+        )
     out = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
 
     if out.trials is None or out.trials < 1:
@@ -168,7 +187,7 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("c must be in (0, 1]")
     if out.scenario == "gap" and mode is FidelityMode.FRESH_COPY_STATISTICAL:
         raise ConfigError("the gap scenario reuses damaged copies; use per-copy or exact mode")
-    if out.scenario == "money-demo" and (out.qubits is None or out.qubits < 1):
+    if out.qubits is not None and out.qubits < 1:
         raise ConfigError("qubits must be >= 1")
     if out.case is not None and out.case not in ("planted", "all_below", "alternate"):
         raise ConfigError("case must be planted, all_below, or alternate")
@@ -180,15 +199,24 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-trial runners: each returns (TrialRow, extras dict)
+# per-trial runners: each takes (cfg, trial, the trial's generator) and
+# returns (TrialRow, extras dict)
 
 
 def _source(cfg: ScenarioConfig, rho, rng) -> CopySource:
     return CopySource(rho, FidelityMode(cfg.mode), rng, budget=cfg.budget)
 
 
-def _trial_verify_gentle(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _row(cfg: ScenarioConfig, trial: int, d: int, m: int, *measured) -> TrialRow:
+    """A trial's row: the echoed run fields, the (D, M) it ran at, then the
+    measured copies_consumed, copies_predicted, max_error, success and
+    iterations."""
+    return TrialRow(
+        cfg.scenario, trial, cfg.seed, d, m, cfg.epsilon, cfg.delta, cfg.mode, *measured
+    )
+
+
+def _trial_verify_gentle(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     rho = random_density(cfg.d, rng)
     e = near_certain_effect(rho, cfg.epsilon, rng)
     p = accept_prob(e, rho)
@@ -196,15 +224,11 @@ def _trial_verify_gentle(cfg: ScenarioConfig, trial: int):
     damage = trace_distance(out.post_state.mat, rho.mat)
     bound = 2.0 * math.sqrt(cfg.epsilon)
     success = damage <= bound and p >= 1.0 - cfg.epsilon
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.d, 1, cfg.epsilon, cfg.delta, cfg.mode,
-        1, 1, damage, success, 1,
-    )
+    row = _row(cfg, trial, cfg.d, 1, 1, 1, damage, success, 1)
     return row, {"damage_bound": bound, "accept_prob": p}
 
 
-def _trial_verify_union(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_verify_union(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     rho = random_density(cfg.d, rng)
     effects = [near_certain_effect(rho, cfg.epsilon, rng) for _ in range(cfg.m)]
     p_all, final = sequential_accept_all(effects, rho)
@@ -212,15 +236,11 @@ def _trial_verify_union(cfg: ScenarioConfig, trial: int):
     p_bound = 1.0 - 2.0 * cfg.m * math.sqrt(cfg.epsilon)
     d_bound = 4.0 * math.sqrt(cfg.m * cfg.epsilon)
     success = p_all >= p_bound and damage <= d_bound
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
-        1, 1, damage, success, cfg.m,
-    )
+    row = _row(cfg, trial, cfg.d, cfg.m, 1, 1, damage, success, cfg.m)
     return row, {"all_accept_prob": p_all, "p_bound": p_bound, "damage_bound": d_bound}
 
 
-def _trial_orbound(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_orbound(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     if cfg.case == "alternate":
         truth = "case_i" if trial % 2 == 0 else "case_ii"
     elif cfg.case == "planted":
@@ -234,8 +254,8 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int):
     decision = or_bound_decide(list(inst.effects), source, params)
     predicted = decision.ell * decision.rounds
     success = decision.case == truth
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
+    row = _row(
+        cfg, trial, cfg.d, cfg.m,
         source.ledger.consumed, predicted, 0.0 if success else 1.0, success, decision.rounds,
     )
     extras = {
@@ -247,20 +267,17 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int):
     return row, extras
 
 
-def _trial_random_order(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_random_order(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = or_promise_instance(cfg.d, cfg.m, cfg.planted_value, cfg.low_cap, rng)
     source = _source(cfg, inst.rho, rng)
     accepted = random_order_or_test(list(inst.effects), source)
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
-        source.ledger.consumed, 1, 0.0 if accepted else 1.0, accepted, 1,
+    row = _row(
+        cfg, trial, cfg.d, cfg.m, source.ledger.consumed, 1, 0.0 if accepted else 1.0, accepted, 1
     )
     return row, {"accepted": accepted}
 
 
-def _trial_search(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_search(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = or_promise_instance(cfg.d, cfg.m, cfg.planted_value, cfg.low_cap, rng)
     source = _source(cfg, inst.rho, rng)
     sp = SearchParams(c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta)
@@ -274,8 +291,8 @@ def _trial_search(cfg: ScenarioConfig, trial: int):
     else:
         success = False
         err = 1.0
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
+    row = _row(
+        cfg, trial, cfg.d, cfg.m,
         res.copies_consumed, int(math.floor(bound)), err, success, len(res.level_bars),
     )
     extras = {
@@ -322,8 +339,8 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     try:
         run = run_shadow_tomography(list(inst.effects), source, params)
     except IterationBoundExceededError as exc:
-        row = TrialRow(
-            cfg.scenario, trial, cfg.seed, params.d, params.m, cfg.epsilon, cfg.delta, cfg.mode,
+        row = _row(
+            cfg, trial, params.d, params.m,
             source.ledger.consumed, params.k_pred, 1.0, False, params.t_bound,
         )
         extras.update(
@@ -337,8 +354,8 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     markov = _markov_ok(run.transcript, cfg.epsilon)
     t_ok = run.transcript.t_final <= params.t_bound
     ledger_ok = run.copies_consumed <= params.k_pred
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, params.d, params.m, cfg.epsilon, cfg.delta, cfg.mode,
+    row = _row(
+        cfg, trial, params.d, params.m,
         run.copies_consumed, params.k_pred, err, success, run.transcript.t_final,
     )
     extras.update(
@@ -356,14 +373,12 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     return row, extras
 
 
-def _trial_shadow(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_shadow(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = projector_instance(cfg.d, cfg.m, rng)
     return _shadow_style_trial(cfg, trial, inst, _shadow_params(cfg), rng)
 
 
-def _trial_money(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_money(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     wiesner, inst = make_wiesner_instance(cfg.qubits, rng)
     row, extras = _shadow_style_trial(cfg, trial, inst, _money_params(cfg), rng)
     if "error" not in extras:
@@ -374,23 +389,20 @@ def _trial_money(cfg: ScenarioConfig, trial: int):
     return row, extras
 
 
-def _trial_gap(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_gap(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst, cutoffs = diagonal_gap_instance(cfg.d, cfg.m, cfg.epsilon, rng)
     source = _source(cfg, inst.rho, rng)
     decisions = run_promise_gap(list(inst.effects), cutoffs, cfg.epsilon, cfg.delta, source)
     sides = inst.metadata["sides"]
     wrong = sum(1 for got, want in zip(decisions, sides) if got != want)
     k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta)
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.d, cfg.m, cfg.epsilon, cfg.delta, cfg.mode,
-        source.ledger.consumed, k, wrong / cfg.m, wrong == 0, cfg.m,
+    row = _row(
+        cfg, trial, cfg.d, cfg.m, source.ledger.consumed, k, wrong / cfg.m, wrong == 0, cfg.m
     )
     return row, {"wrong_decisions": wrong, "k": k}
 
 
-def _trial_classical(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     k_samples = math.ceil(8.0 * math.log(2.0 * cfg.k / cfg.delta) / cfg.epsilon**2)
     inst = gen_classical_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
@@ -399,47 +411,37 @@ def _trial_classical(cfg: ScenarioConfig, trial: int):
     truth = np.array([inst.acceptance(true_index, j) for j in range(cfg.k)])
     err = float(np.max(np.abs(estimates - truth)))
     success = err <= cfg.epsilon
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.n, cfg.k, cfg.epsilon, cfg.delta, cfg.mode,
-        k_samples, k_samples, err, success, 1,
-    )
+    row = _row(cfg, trial, cfg.n, cfg.k, k_samples, k_samples, err, success, 1)
     return row, {"true_index": true_index, "k_samples": k_samples}
 
 
-def _trial_lower_classical(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_lower_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = gen_classical_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
     guess, correct = identify_index_classical(inst, true_index, cfg.t_samples, rng)
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.n, cfg.k, cfg.epsilon, cfg.delta, cfg.mode,
-        cfg.t_samples, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
+    row = _row(
+        cfg, trial, cfg.n, cfg.k, cfg.t_samples, cfg.t_samples, 0.0 if correct else 1.0, correct, 1
     )
     return row, {"true_index": true_index, "guess": guess}
 
 
-def _trial_lower_quantum(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_lower_quantum(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = gen_quantum_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
     source = _source(cfg, inst.sigma(true_index), rng)
     guess, correct = identify_index_quantum(inst, true_index, cfg.t_samples, source)
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.n, cfg.k, cfg.epsilon, cfg.delta, cfg.mode,
+    row = _row(
+        cfg, trial, cfg.n, cfg.k,
         source.ledger.consumed, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
     )
     return row, {"true_index": true_index, "guess": guess}
 
 
-def _trial_hlw(cfg: ScenarioConfig, trial: int):
-    rng = substream(cfg.seed, trial)
+def _trial_hlw(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     report = hlw_overlap_experiment(cfg.n, 1, rng)
     overlap = float(report.overlaps[0])
     dev = abs(overlap - 0.5)
-    row = TrialRow(
-        cfg.scenario, trial, cfg.seed, cfg.n, 1, cfg.epsilon, cfg.delta, cfg.mode,
-        1, 1, dev, dev <= cfg.epsilon, 1,
-    )
+    row = _row(cfg, trial, cfg.n, 1, 1, 1, dev, dev <= cfg.epsilon, 1)
     return row, {"overlap": overlap}
 
 
@@ -528,6 +530,11 @@ class Scenario:
     per-trial runner, the scenario-level threshold check and, for a
     shadow-style scenario, the operating point its trials run at.
 
+    The keys of `defaults` declare every config key the scenario reads
+    besides the run keys (scenario, seed, out_dir, workers), and `resolve`
+    rejects any other set key. A default of None marks an optional key,
+    read but left unset unless a config sets it.
+
     A record holds only this module's private `_trial_*`, `_check_*` and
     `_*_params` functions; those look up every library call at call time, so
     a wrapper installed on a module-level name also sees the calls made by a
@@ -536,7 +543,7 @@ class Scenario:
 
     blurb: str
     defaults: dict
-    run: Callable[[ScenarioConfig, int], tuple[TrialRow, dict]]
+    run: Callable[[ScenarioConfig, int, np.random.Generator], tuple[TrialRow, dict]]
     check: Callable[[ScenarioConfig, list[TrialRow], list[dict]], tuple[dict, bool]]
     operating_point: Callable[[ScenarioConfig], ShadowParams] | None = None
 
@@ -544,7 +551,7 @@ class Scenario:
 SCENARIOS: dict[str, Scenario] = {
     "verify-gentle": Scenario(
         "near-certain measurement damage stays below 2 sqrt(eps)",
-        dict(trials=100, mode="exact_tensor", d=4, m=1, epsilon=1e-2, delta=0.1),
+        dict(trials=100, mode="exact_tensor", d=4, epsilon=1e-2, delta=0.1),
         _trial_verify_gentle,
         _check_verify,
     ),
@@ -558,7 +565,7 @@ SCENARIOS: dict[str, Scenario] = {
         "amplified OR decision on planted / all-below promise instances",
         dict(
             trials=200, mode="fresh_copy_statistical", d=2, m=8, epsilon=0.5, delta=0.1,
-            c=0.9, case="alternate", low_cap=0.3,
+            c=0.9, case="alternate", low_cap=0.3, planted_value=None, budget=None,
         ),
         _trial_orbound,
         _check_orbound,
@@ -567,7 +574,7 @@ SCENARIOS: dict[str, Scenario] = {
         "shuffled sequential OR tester on a planted instance (exploratory)",
         dict(
             trials=50, mode="per_copy_collapse", d=2, m=8, epsilon=0.5, delta=0.1,
-            c=0.99, case="planted", planted_value=0.99, low_cap=0.01,
+            planted_value=0.99, low_cap=0.01, budget=None,
         ),
         _trial_random_order,
         _check_exploratory,
@@ -576,7 +583,7 @@ SCENARIOS: dict[str, Scenario] = {
         "gentle binary search returns a high-acceptance index within its copy bound",
         dict(
             trials=200, mode="fresh_copy_statistical", d=2, m=8, epsilon=0.5, delta=0.1,
-            c=0.9, planted_value=0.95, low_cap=0.3,
+            c=0.9, planted_value=0.95, low_cap=0.3, budget=None,
         ),
         _trial_search,
         _check_search,
@@ -585,7 +592,7 @@ SCENARIOS: dict[str, Scenario] = {
         "full shadow tomography on random projectors, estimates within eps",
         dict(
             trials=60, mode="fresh_copy_statistical", d=2, m=8, epsilon=0.25,
-            delta=1.0 / 3.0, q=10,
+            delta=1.0 / 3.0, q=10, budget=None,
         ),
         _trial_shadow,
         _check_shadow,
@@ -593,7 +600,10 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "gap": Scenario(
         "promise-gap decisions for diagonal instances from one shared copy block",
-        dict(trials=200, mode="per_copy_collapse", d=4, m=16, epsilon=0.2, delta=0.1),
+        dict(
+            trials=200, mode="per_copy_collapse", d=4, m=16, epsilon=0.2, delta=0.1,
+            budget=None,
+        ),
         _trial_gap,
         _check_rate_one_minus_delta,
     ),
@@ -616,7 +626,7 @@ SCENARIOS: dict[str, Scenario] = {
         "identification success vs copy count on the quantum hard family",
         dict(
             trials=50, mode="fresh_copy_statistical", n=8, k=8, epsilon=0.08, delta=0.1,
-            t_samples=500,
+            t_samples=500, budget=None,
         ),
         _trial_lower_quantum,
         _check_exploratory,
@@ -631,7 +641,7 @@ SCENARIOS: dict[str, Scenario] = {
         "estimating every verifier's acceptance on a conjugate-coding bill",
         dict(
             trials=30, mode="fresh_copy_statistical", qubits=2, epsilon=0.25,
-            delta=1.0 / 3.0, q=4,
+            delta=1.0 / 3.0, q=4, budget=None,
         ),
         _trial_money,
         _check_shadow,
@@ -645,13 +655,13 @@ _THRESHOLDS = {name: s.check for name, s in SCENARIOS.items()}
 
 
 def run_trial(cfg: ScenarioConfig, trial: int) -> tuple[TrialRow, dict]:
-    """One seeded trial of cfg's scenario; cfg must already be resolved."""
-    return SCENARIOS[cfg.scenario].run(cfg, trial)
+    """One seeded trial of cfg's scenario, drawing all of its randomness from
+    substream(cfg.seed, trial); cfg must already be resolved."""
+    return SCENARIOS[cfg.scenario].run(cfg, trial, substream(cfg.seed, trial))
 
 
 def _run_trial_star(args: tuple[ScenarioConfig, int]) -> tuple[TrialRow, dict]:
     return run_trial(*args)
-
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +688,9 @@ class ScenarioOutcome:
 
 
 def _parameters_echo(cfg: ScenarioConfig) -> dict:
-    """Every set parameter under its config-file key (D/M/N/K uppercase)."""
+    """Every set parameter under its config-file key."""
     return {
-        f.name.upper() if f.name in _ALIASES.values() else f.name: getattr(cfg, f.name)
+        file_key(f.name): getattr(cfg, f.name)
         for f in fields(cfg)
         if f.name not in ("scenario", "out_dir", "workers") and getattr(cfg, f.name) is not None
     }

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .ledger import CopySource
 from .modes import FidelityMode
-from .quantum import Effect, Measurement, ThresholdEffect, threshold_diagonal_values
+from .quantum import Effect, Measurement, ThresholdEffect, leaf_effect, threshold_spectrum
 from .search import SearchParams, gentle_search, search_budget
 
 PROMISE_BAR = 5.0 / 6.0
@@ -233,19 +233,16 @@ def postselect_hypothesis(h: Hypothesis, f: ThresholdEffect) -> Hypothesis:
     """Condition the hypothesis on threshold measurement f accepting.
 
     New state sqrt(F) rho* sqrt(F) / Tr(F rho*); p multiplies by the
-    acceptance probability. The base must be a single-register effect E =
-    U diag(e) U†: the threshold operator is diagonal, with Poisson-binomial
-    tail entries, in the frame U, so no D^q x D^q operator is ever
-    materialized. One register-wise conjugation, by U† B, moves the stored
-    state from its frame B into U; there it is scaled entrywise, and it stays
-    in U as the new frame.
+    acceptance probability. f must span the q registers with a leaf effect
+    E = U diag(e) U† on one register: the threshold operator is diagonal,
+    with Poisson-binomial tail entries (threshold_spectrum), in the frame U,
+    so no D^q x D^q operator is ever materialized. One register-wise
+    conjugation, by U† B, moves the stored state from its frame B into U;
+    there it is scaled entrywise, and it stays in U as the new frame.
     """
-    if not isinstance(f.base, Effect):
-        raise DimensionMismatchError("nested threshold postselection is not supported")
-    if f.base.dim != h.d or f.registers != h.q:
+    if leaf_effect(f).dim != h.d or f.width != h.q:
         raise DimensionMismatchError("threshold shape does not match the hypothesis registers")
-    evals, u = linalg.eigh_spectrum(np.asarray(f.base.mat))
-    fvals = threshold_diagonal_values(evals, h.q, f.threshold, f.direction)
+    fvals, u = threshold_spectrum(f)
     sigma = linalg.conjugate_each_register(h.amplified, u.conj().T @ h.basis, h.d, h.q)
     p_acc = float(np.real(np.sum(fvals * np.diagonal(sigma))))
     if p_acc <= DEGENERATE_BRANCH_PROB:

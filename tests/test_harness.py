@@ -3,7 +3,7 @@ command-line interface."""
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -163,6 +163,67 @@ def test_resolve_rejects_unknown_scenario_and_bad_values():
         resolve(ScenarioConfig(scenario="gap", trials=0))
     with pytest.raises(ConfigError):
         resolve(ScenarioConfig(scenario="gap", epsilon=2.0))
+
+
+# a valid value for every scenario key, for the keys a scenario leaves unset
+_SAMPLE = dict(
+    trials=1, mode="exact_tensor", d=2, m=2, n=4, k=4, qubits=1, epsilon=0.1, delta=0.1,
+    c=0.9, q=2, t_samples=3, case="planted", planted_value=0.9, low_cap=0.1, budget=10,
+)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
+def test_resolve_accepts_exactly_the_declared_keys(name):
+    defaults = SCENARIOS[name].defaults
+    assert set(_SAMPLE) | {"scenario", "seed", "out_dir", "workers"} == {
+        f.name for f in fields(ScenarioConfig)
+    }
+    for key, sample in _SAMPLE.items():
+        cfg = ScenarioConfig(scenario=name, **{key: defaults.get(key) or sample})
+        if key in defaults:
+            assert getattr(resolve(cfg), key) == (defaults.get(key) or sample)
+        else:
+            with pytest.raises(ConfigError, match=f"scenario '{name}' does not read"):
+                resolve(cfg)
+
+
+class _ReadRecorder:
+    """A resolved config that records the name of every attribute read."""
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
+def test_each_scenario_reads_exactly_the_keys_its_defaults_declare(name):
+    # a declared key nothing reads would be accepted and echoed for nothing;
+    # a read key left undeclared could never be set
+    scenario = SCENARIOS[name]
+    cfg = _ReadRecorder(resolve(ScenarioConfig(scenario=name)))
+    row, extras = run_trial(cfg, 0)
+    scenario.check(cfg, [row], [extras])
+    if scenario.operating_point is not None:
+        scenario.operating_point(cfg)
+    # trials is read by the run loop, scenario and seed by run_trial and _row
+    assert (cfg.read | {"trials"}) - {"scenario", "seed"} == set(scenario.defaults)
+
+
+def test_cli_rejects_a_key_the_scenario_does_not_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(CONFIGS / "hlw.cfg"), "--set", "budget=5", "--set", "case=planted",
+         "--set", "q=3", "--out-dir", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario 'hlw' does not read 'q', 'case', 'budget'" in err
+    assert "it reads trials, mode, N, epsilon, delta" in err
+    assert not out.exists()
 
 
 def test_csv_header_is_pinned():

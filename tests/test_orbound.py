@@ -19,9 +19,12 @@ from shadowtomo.quantum import (
     controlled_or_accept_prob,
     controlled_or_test,
     materialize_threshold,
-    zero_effect,
 )
 from shadowtomo.rng import substream
+
+
+def zero_effect(dim: int) -> Effect:
+    return Effect(np.zeros((dim, dim), dtype=np.complex128))
 
 
 def test_params_derived_ell_formula():

@@ -25,9 +25,12 @@ from shadowtomo.quantum import (
     threshold_accept_prob,
     threshold_diagonal_values,
     unit_width,
-    zero_effect,
 )
 from shadowtomo.rng import substream
+
+
+def zero_effect(dim: int) -> Effect:
+    return Effect(np.zeros((dim, dim), dtype=np.complex128))
 
 
 def brute_force_threshold(base: np.ndarray, n: int, t: int, direction: str) -> np.ndarray:
@@ -228,6 +231,22 @@ def test_materialize_threshold_matches_brute_force():
         got = np.asarray(materialize_threshold(te).mat)
         want = brute_force_threshold(np.asarray(base.mat), n, t, direction)
         assert np.allclose(got, want, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**16),
+    st.sampled_from((2, 3)),
+    threshold_level(),
+    threshold_level(st.integers(1, 2)),
+)
+def test_nested_threshold_materializes_as_its_subset_expansion(seed, d, inner, outer):
+    # the spectral construction agrees with the defining expansion on the
+    # whole operator at every level, not only on product states
+    base = random_effect(d, substream(seed, 0))
+    got = np.asarray(materialize_threshold(nest(base, [inner, outer])).mat)
+    want = brute_force_threshold(brute_force_threshold(np.asarray(base.mat), *inner), *outer)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_threshold_accept_prob_is_binomial_tail_on_products():

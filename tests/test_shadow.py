@@ -30,7 +30,6 @@ from shadowtomo.quantum import (
     ThresholdEffect,
     materialize_threshold,
     threshold_diagonal_values,
-    zero_effect,
 )
 from shadowtomo.rng import substream
 from shadowtomo.search import search_budget, SearchParams
@@ -46,6 +45,10 @@ from shadowtomo.shadow import (
     run_promise_gap,
     run_shadow_tomography,
 )
+
+
+def zero_effect(dim: int) -> Effect:
+    return Effect(np.zeros((dim, dim), dtype=np.complex128))
 
 
 SMALL = dict(d=2, m=4, epsilon=0.25, delta=1.0 / 3.0, q=8)
