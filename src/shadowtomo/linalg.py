@@ -1,5 +1,6 @@
 """Dense complex linear algebra kernel: Hermitian matrices, tensor products,
-partial traces, operator square roots, trace distance.
+register-wise products and reduced states of square-root factors, operator
+square roots, trace distance.
 
 All functions here work on plain complex ndarrays; quantum object semantics
 (states, effects, collapse) live one layer up. Register order follows the
@@ -73,70 +74,73 @@ def tensor_power(a: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("tensor power requires k >= 1")
     check_dense_dim(a.shape[0] ** k, "tensor product")
+    d = a.shape[0]
     out = a
     for _ in range(k - 1):
-        out = np.kron(out, a)
+        # np.kron's products, without its per-call axis bookkeeping
+        n = out.shape[0]
+        out = (out[:, None, :, None] * a[None, :, None, :]).reshape(n * d, n * d)
     return out
 
 
-def _registers_view(state: np.ndarray, d: int, q: int) -> np.ndarray:
-    dim = state.shape[0]
-    if d**q != dim:
-        raise DimensionMismatchError(f"state dimension {dim} is not {d}^{q}")
-    return state.reshape((d,) * (2 * q))
+def _factor_rows(v: np.ndarray, d: int, q: int) -> np.ndarray:
+    """v as a complex (d^q, r) array: a square-root factor of a state on q
+    registers of local dimension d, one column per factor vector."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[0] != d**q:
+        raise DimensionMismatchError(f"factor of shape {v.shape} does not have {d}^{q} rows")
+    return v
 
 
-def partial_trace_keep(state: np.ndarray, d: int, q: int, keep: int) -> np.ndarray:
-    """Trace out all registers except `keep` from a state on q registers of
-    local dimension d."""
-    state = as_complex_matrix(state)
-    if not 0 <= keep < q:
-        raise DimensionMismatchError(f"register index {keep} out of range for q={q}")
-    before = d**keep
-    after = d ** (q - keep - 1)
-    t = state.reshape(before, d, after, before, d, after)
-    return np.einsum("aibajb->ij", t)
-
-
-def average_single_register_trace(state: np.ndarray, d: int, q: int) -> np.ndarray:
-    """Average of the q single-register reduced states.
+def average_single_register_trace(v: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Average of the q single-register reduced states of V V†, from the
+    factor V of shape (d^q, r).
 
     For a hypothesis on q registers this is the d x d state whose effect
     expectations equal the per-register average acceptance probabilities.
+    Registers are taken two at a time: the reduced state of registers k and
+    k+1 is sum_a V_a V_a†, with V_a the d^2 x (rest) block of V's rows whose
+    leading k digits are a, so V is conjugated once and each pair is one
+    batched Gram product; each register's state is then a partial trace of
+    the pair's. Pairs halve the passes over V, which bound the cost.
     """
-    state = as_complex_matrix(state)
-    _registers_view(state, d, q)  # dimension check
+    v = _factor_rows(v, d, q)
+    vc = v.conj()
     out = np.zeros((d, d), dtype=np.complex128)
-    for r in range(q):
-        out += partial_trace_keep(state, d, q, r)
+    for k in range(0, q, 2):
+        n = d ** min(2, q - k)
+        t = v.reshape(d**k, n, -1)
+        gram = (t @ vc.reshape(d**k, n, -1).transpose(0, 2, 1)).sum(axis=0)
+        if n == d:
+            out += gram
+        else:
+            pair = gram.reshape(d, d, d, d)
+            out += np.einsum("ikjk->ij", pair) + np.einsum("kikj->ij", pair)
     return out / q
 
 
-def conjugate_each_register(state: np.ndarray, u: np.ndarray, d: int, q: int) -> np.ndarray:
-    """Apply (U^{⊗q}) state (U^{⊗q})† without forming the big unitary.
+def conjugate_each_register(v: np.ndarray, u: np.ndarray, d: int, q: int) -> np.ndarray:
+    """U^{⊗q} V for V of shape (d^q, r), without forming the big unitary.
 
-    U^{⊗q} = A ⊗ B with A = U^{⊗a}, B = U^{⊗(q-a)} and a = q // 2, so each
-    side is two matrix products on reshaped views of the state: A on the
-    leading register group, then B on the trailing one. Cost O(dim² · d^q/2)
-    per side with d^{q/2}-sized BLAS calls, and no axis permutation.
+    If V is a square-root factor of rho (rho = V V†), the result is a factor
+    of U^{⊗q} rho U^{⊗q}†; applied to X and then to the conjugate transpose
+    of the result, it gives the two-sided U^{⊗q} X U^{⊗q}†.
+    U^{⊗q} = A ⊗ B with A = U^{⊗a}, B = U^{⊗(q-a)} and a = q // 2, so the
+    product is two matrix products on reshaped views of V: A on the leading
+    register group, then B on the trailing one. Cost O(r · d^q · d^{q/2})
+    with d^{q/2}-sized BLAS calls, and no axis permutation.
     """
-    state = as_complex_matrix(state)
+    v = _factor_rows(v, d, q)
     u = as_complex_matrix(u)
     if u.shape[0] != d:
         raise DimensionMismatchError("single-register unitary has wrong dimension")
-    _registers_view(state, d, q)  # dimension check
-    dim = state.shape[0]
+    dim, r = v.shape
     a = q // 2
     da, db = d**a, d ** (q - a)
-    big_a = tensor_power(u, a) if a else np.eye(1, dtype=np.complex128)
-    big_b = tensor_power(u, q - a)
-    # left: (A ⊗ B) X, with X's rows split as (da, db)
-    t = (big_a @ state.reshape(da, db * dim)).reshape(da, db, dim)
-    t = big_b @ t
-    # right: Y (A ⊗ B)†, with Y's columns split as (da, db)
-    t = t.reshape(dim * da, db) @ big_b.conj().T
-    t = big_a.conj() @ t.reshape(dim, da, db)
-    return t.reshape(dim, dim)
+    t = v.reshape(da, db, r)
+    if a:
+        t = (tensor_power(u, a) @ v.reshape(da, db * r)).reshape(da, db, r)
+    return (tensor_power(u, q - a) @ t).reshape(dim, r)
 
 
 def herm_sqrt(a: np.ndarray) -> np.ndarray:
@@ -167,11 +171,18 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * trace_norm(rho - sigma)
 
 
-def validate(m: np.ndarray, kind: str, atol: float = CONSTRUCTION_ATOL) -> ValidationReport:
+def validate(
+    m: np.ndarray,
+    kind: str,
+    atol: float = CONSTRUCTION_ATOL,
+    eigenvalues: np.ndarray | None = None,
+) -> ValidationReport:
     """Check the structural invariants of `kind` and report every violation.
 
-    kind is one of "hermitian", "density", "effect". Nothing is raised; the
-    caller decides what a violation means.
+    kind is one of "hermitian", "density", "effect". The spectrum checks
+    read `eigenvalues` when the caller already holds m's spectrum, and take
+    an eigvalsh of m otherwise; the Hermiticity check is always on m itself.
+    Nothing is raised; the caller decides what a violation means.
     """
     if kind not in ("hermitian", "density", "effect"):
         raise ValueError(f"unknown validation kind {kind!r}")
@@ -186,13 +197,14 @@ def validate(m: np.ndarray, kind: str, atol: float = CONSTRUCTION_ATOL) -> Valid
         violations.append(Violation("hermitian", defect))
 
     if kind in ("density", "effect"):
-        vals = np.linalg.eigvalsh(hermitize(m))
+        vals = np.linalg.eigvalsh(hermitize(m)) if eigenvalues is None else eigenvalues
+        lo, hi = float(np.min(vals)), float(np.max(vals))
         # spectrum checks tolerate post-arithmetic drift
         spec_atol = max(atol, POST_ARITHMETIC_ATOL)
-        if vals[0] < -spec_atol:
-            violations.append(Violation("psd", float(-vals[0])))
-        if kind == "effect" and vals[-1] > 1.0 + spec_atol:
-            violations.append(Violation("subunital", float(vals[-1] - 1.0)))
+        if lo < -spec_atol:
+            violations.append(Violation("psd", -lo))
+        if kind == "effect" and hi > 1.0 + spec_atol:
+            violations.append(Violation("subunital", hi - 1.0))
         if kind == "density":
             tr_err = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
             if tr_err > spec_atol:

@@ -31,7 +31,7 @@ on; controlled_or_accept_prob computes its exact acceptance for reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Literal, Union
 
 import numpy as np
@@ -73,14 +73,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Effect:
-    """Accepting POVM element of a two-outcome measurement, 0 <= E <= I."""
+    """Accepting POVM element of a two-outcome measurement, 0 <= E <= I.
+
+    A caller that built `mat` from a known spectrum passes it as
+    `eigenvalues`, so validation bounds that spectrum instead of
+    recomputing it."""
 
     mat: np.ndarray
     atol: float = CONSTRUCTION_ATOL
+    eigenvalues: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, eigenvalues):
         object.__setattr__(self, "mat", _frozen_matrix(self.mat))
-        report = linalg.validate(self.mat, "effect", self.atol)
+        report = linalg.validate(self.mat, "effect", self.atol, eigenvalues)
         if not report.ok:
             raise ValueError(f"invalid effect: {report.violations}")
 
@@ -261,10 +266,15 @@ def threshold_accept_prob(m: Measurement, leaf_value: float) -> float:
 
 def materialize_threshold(te: ThresholdEffect) -> Effect:
     """Dense operator of a threshold effect: its spectrum conjugated into the
-    leaf eigenbasis, register by register."""
+    leaf eigenbasis, register by register, as U^{⊗w} (U^{⊗w} diag(values))†.
+
+    The operator is checked for Hermiticity, and its spectrum is checked
+    from the values it was built from."""
     values, u = threshold_spectrum(te)
-    op = linalg.conjugate_each_register(np.diag(values), u, u.shape[0], te.width)
-    return Effect(linalg.hermitize(op), atol=POST_ARITHMETIC_ATOL)
+    d, w = u.shape[0], te.width
+    half = linalg.conjugate_each_register(np.diag(values), u, d, w)
+    op = linalg.conjugate_each_register(half.conj().T, u, d, w)
+    return Effect(op, atol=POST_ARITHMETIC_ATOL, eigenvalues=values)
 
 
 def dense_operator(m: Measurement) -> np.ndarray:

@@ -89,21 +89,8 @@ def success_rate(rows: list[TrialRow]) -> float:
 
 
 def aggregate(rows: list[TrialRow]) -> dict:
-    """Aggregates of the per-row fields, mirroring the CSV schema."""
-    if not rows:
-        return {
-            "trials": 0,
-            "successes": 0,
-            "success_rate": 0.0,
-            "copies_consumed_total": 0,
-            "copies_consumed_mean": 0.0,
-            "copies_predicted_max": 0,
-            "within_predicted_rate": 1.0,
-            "max_error_max": 0.0,
-            "max_error_mean": 0.0,
-            "iterations_max": 0,
-            "iterations_mean": 0.0,
-        }
+    """Aggregates of the per-row fields, mirroring the CSV schema; a run has
+    at least one trial, so rows is never empty."""
     consumed = [r.copies_consumed for r in rows]
     errors = [r.max_error for r in rows]
     iters = [r.iterations for r in rows]

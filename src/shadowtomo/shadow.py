@@ -154,38 +154,42 @@ def derive_params(
 
 
 class Hypothesis:
-    """The classically stored amplified hypothesis state, held in a frame.
+    """The classically stored amplified hypothesis state, as a square-root
+    factor held in a frame.
 
-    amplified  D^q density matrix in the frame `basis` (kept as a raw
-               hermitized array; validity is a tested invariant, not a
-               per-update eigencheck)
+    factor     (D^q, r) array V with the hypothesis state
+               B^{⊗q} V V† B^{⊗q}†, or None for the initial I/D^q, which is
+               the same in every frame. VV† is Hermitian PSD by
+               construction, so no update hermitizes or eigenchecks it. The
+               column count r never grows, and the rows where the last
+               postselection's eigenvalue is exactly 0 are exactly zero
     basis      D x D unitary B, the eigenbasis of the last postselection's
-               base effect (I initially): the hypothesis state is
-               B^{⊗q} amplified B^{⊗q}†
+               base effect (I initially)
     reduced    average single-register reduced state, the D x D matrix whose
                effect expectations are the hypothesis values; conjugating
                every register commutes with the single-register partial
-               trace, so it is B (average trace of amplified) B†
+               trace, so it is B (average trace of VV†) B†
     p          probability that all postselections so far succeeded
     """
 
-    __slots__ = ("amplified", "basis", "reduced", "d", "q", "p")
+    __slots__ = ("factor", "basis", "reduced", "d", "q", "p")
 
-    def __init__(self, amplified: np.ndarray, basis: np.ndarray, d: int, q: int, p: float):
-        self.amplified = amplified
+    def __init__(self, factor: np.ndarray | None, basis: np.ndarray, d: int, q: int, p: float):
+        self.factor = factor
         self.basis = basis
-        reduced = linalg.average_single_register_trace(amplified, d, q)
-        self.reduced = basis @ reduced @ basis.conj().T
+        if factor is None:
+            self.reduced = np.eye(d, dtype=np.complex128) / d
+        else:
+            reduced = linalg.average_single_register_trace(factor, d, q)
+            self.reduced = basis @ reduced @ basis.conj().T
         self.d = d
         self.q = q
         self.p = p
 
     @classmethod
     def initial(cls, d: int, q: int) -> "Hypothesis":
-        dim = d**q
-        linalg.check_dense_dim(dim, "amplified hypothesis")
-        eye = np.eye(d, dtype=np.complex128)
-        return cls(np.eye(dim, dtype=np.complex128) / dim, eye, d, q, 1.0)
+        linalg.check_dense_dim(d**q, "amplified hypothesis")
+        return cls(None, np.eye(d, dtype=np.complex128), d, q, 1.0)
 
     def value(self, e: Effect) -> float:
         """Tr(E rho_t) against the reduced hypothesis state."""
@@ -234,24 +238,44 @@ def postselect_hypothesis(h: Hypothesis, f: ThresholdEffect) -> Hypothesis:
 
     New state sqrt(F) rho* sqrt(F) / Tr(F rho*); p multiplies by the
     acceptance probability. f must span the q registers with a leaf effect
-    E = U diag(e) U† on one register: the threshold operator is diagonal,
-    with Poisson-binomial tail entries (threshold_spectrum), in the frame U,
-    so no D^q x D^q operator is ever materialized. One register-wise
-    conjugation, by U† B, moves the stored state from its frame B into U;
-    there it is scaled entrywise, and it stays in U as the new frame.
+    E = U diag(e) U† on one register: the threshold operator is
+    U^{⊗q} diag(f) U^{⊗q}†, with Poisson-binomial tail entries f
+    (threshold_spectrum), so no D^q x D^q operator is ever materialized.
+    With W = (U† B)^{⊗q} V, one register-wise product from the left, the
+    acceptance probability is p_acc = sum_i f_i |W_i|^2 = Tr(F rho*), and
+    the new factor, in the frame U, is Y = diag(sqrt(f / p_acc)) W: one row
+    scaling, and no hermitization, since Y Y† is Hermitian PSD as it is.
+    Rows where f == 0 exactly are zero in Y; when fewer nonzero rows remain
+    than columns, the columns are refactored by a thin QR of those rows
+    (R†R = Y Y† on them), which is exact and leaves one column per row.
+    The first update starts from W = I/sqrt(D^q) on the columns where f > 0.
     """
     if leaf_effect(f).dim != h.d or f.width != h.q:
         raise DimensionMismatchError("threshold shape does not match the hypothesis registers")
     fvals, u = threshold_spectrum(f)
-    sigma = linalg.conjugate_each_register(h.amplified, u.conj().T @ h.basis, h.d, h.q)
-    p_acc = float(np.real(np.sum(fvals * np.diagonal(sigma))))
+    rows = np.flatnonzero(fvals)
+    if h.factor is None:
+        # I/D^q is the same in every frame; the columns where f == 0 would
+        # be scaled to zero, so they are left out from the start
+        y = np.zeros((fvals.shape[0], rows.shape[0]), dtype=np.complex128)
+        y[rows, np.arange(rows.shape[0])] = 1.0 / math.sqrt(fvals.shape[0])
+    else:
+        y = linalg.conjugate_each_register(h.factor, u.conj().T @ h.basis, h.d, h.q)
+    # sum_i f_i |row i|^2, the row norms summed pairwise so that rounding
+    # does not grow with the factor's size; then one pass scales each row
+    # by sqrt(f_i / p_acc)
+    yv = y.view(np.float64)
+    p_acc = float(np.sum(fvals * np.einsum("ij,ij->i", yv, yv)))
     if p_acc <= DEGENERATE_BRANCH_PROB:
         raise DegeneratePostselectionError(
             f"acceptance probability {p_acc:.3e} too small to condition on"
         )
-    root = np.sqrt(fvals)
-    sigma *= np.outer(root, root / p_acc)
-    return Hypothesis(linalg.hermitize(sigma), u, h.d, h.q, h.p * p_acc)
+    y *= np.sqrt(fvals / p_acc)[:, None]
+    if rows.shape[0] < y.shape[1]:
+        r = np.linalg.qr(y[rows].conj().T, mode="r")
+        y = np.zeros((y.shape[0], rows.shape[0]), dtype=np.complex128)
+        y[rows] = r.conj().T
+    return Hypothesis(y, u, h.d, h.q, h.p * p_acc)
 
 
 @dataclass(frozen=True)

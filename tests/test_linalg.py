@@ -13,7 +13,6 @@ from shadowtomo.linalg import (
     herm_sqrt,
     hermiticity_defect,
     hermitize,
-    partial_trace_keep,
     tensor_power,
     trace_distance,
     trace_norm,
@@ -51,62 +50,54 @@ def test_tensor_power_matches_repeated_kron():
     assert np.allclose(tensor_power(a, 3), expected)
 
 
-def test_partial_trace_recovers_product_factors():
-    rng = substream(2, 0)
-    a = random_state(2, rng)
-    b = random_state(2, rng)
-    joint = np.kron(a, b)
-    assert np.allclose(partial_trace_keep(joint, 2, 2, 0), a, atol=1e-12)
-    assert np.allclose(partial_trace_keep(joint, 2, 2, 1), b, atol=1e-12)
+def random_factor(rows, cols, rng):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def test_partial_trace_preserves_trace():
-    rng = substream(3, 0)
-    joint = random_state(8, rng)
-    for keep in range(3):
-        red = partial_trace_keep(joint, 2, 3, keep)
-        assert abs(np.trace(red) - 1.0) < 1e-12
+def _dense_average_trace(state, d, q):
+    """Average of the q single-register partial traces of a dense state."""
+    t = [state.reshape(d**k, d, d ** (q - k - 1), d**k, d, d ** (q - k - 1)) for k in range(q)]
+    return sum(np.einsum("aibajb->ij", x) for x in t) / q
 
 
 def test_average_single_register_trace_on_product_state():
     # product of distinct states: the average equals the mean factor
     rng = substream(4, 0)
-    a = random_state(2, rng)
-    b = random_state(2, rng)
-    joint = np.kron(a, b)
-    avg = average_single_register_trace(joint, 2, 2)
+    va = random_factor(2, 3, rng)
+    vb = random_factor(2, 2, rng)
+    va, vb = va / np.linalg.norm(va), vb / np.linalg.norm(vb)
+    a, b = va @ va.conj().T, vb @ vb.conj().T
+    avg = average_single_register_trace(np.kron(va, vb), 2, 2)
     assert np.allclose(avg, (a + b) / 2.0, atol=1e-12)
 
 
 def test_conjugate_each_register_matches_dense_oracle():
     rng = substream(5, 0)
     d, q = 2, 3
-    state = random_state(d**q, rng)
+    v = random_factor(d**q, 3, rng)
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     u = np.linalg.qr(x)[0]
     big = np.kron(np.kron(u, u), u)
-    expected = big @ state @ big.conj().T
-    got = conjugate_each_register(state, u, d, q)
-    assert np.allclose(got, expected, atol=1e-10)
+    got = conjugate_each_register(v, u, d, q)
+    assert np.allclose(got, big @ v, atol=1e-10)
+    # the factor of the conjugated state
+    assert np.allclose(got @ got.conj().T, big @ v @ v.conj().T @ big.conj().T, atol=1e-10)
 
 
-def _tensordot_conjugation(state, u, d, q):
+def _tensordot_product(v, u, d, q):
     """Register-by-register reference: one tensordot and axis move per
-    register and side."""
-    t = state.reshape((d,) * (2 * q))
+    register."""
+    t = v.reshape((d,) * q + (v.shape[1],))
     for r in range(q):
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [r])), 0, r)
-    uc = u.conj()
-    for r in range(q):
-        t = np.moveaxis(np.tensordot(uc, t, axes=([1], [q + r])), 0, q + r)
-    return t.reshape(d**q, d**q)
+    return t.reshape(d**q, v.shape[1])
 
 
-def _dense_conjugation(state, u, q):
+def _dense_product(v, u, q):
     big = u
     for _ in range(q - 1):
         big = np.kron(big, u)
-    return big @ state @ big.conj().T
+    return big @ v
 
 
 _CONJUGATION_SHAPES = [(d, q) for d in (2, 3, 4) for q in range(1, 11) if d**q <= 1024]
@@ -117,21 +108,49 @@ _CONJUGATION_SHAPES = [(d, q) for d in (2, 3, 4) for q in range(1, 11) if d**q <
 @given(seed=st.integers(0, 2**16))
 def test_grouped_conjugation_matches_tensordot_and_dense_references(d, q, seed):
     rng = substream(seed, 0)
-    dim = d**q
-    state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    v = random_factor(d**q, 5, rng)
     u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-    got = conjugate_each_register(state, u, d, q)
-    for ref in (_tensordot_conjugation(state, u, d, q), _dense_conjugation(state, u, q)):
+    got = conjugate_each_register(v, u, d, q)
+    for ref in (_tensordot_product(v, u, d, q), _dense_product(v, u, q)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+_FACTOR_SHAPES = [(d, q) for d in (2, 3, 4) for q in range(1, 9) if d**q <= 256]
+
+
+@pytest.mark.parametrize("d, q", _FACTOR_SHAPES)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), cols=st.sampled_from(("1", "3", "d^q")))
+def test_factor_kernels_match_dense_references(d, q, seed, cols):
+    # both kernels on a rectangular factor V: U^{⊗q} V against the Kronecker
+    # product, and the averaged reduced state against that of V V†
+    rng = substream(seed, 0)
+    dim = d**q
+    v = random_factor(dim, {"1": 1, "3": 3, "d^q": dim}[cols], rng)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    want = _dense_product(v, u, q)
+    got = conjugate_each_register(v, u, d, q)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    avg = _dense_average_trace(v @ v.conj().T, d, q)
+    got = average_single_register_trace(v, d, q)
+    assert np.max(np.abs(got - avg)) <= 1e-12 * np.max(np.abs(avg))
+
+
+def test_factor_kernels_reject_a_wrong_row_count():
+    v = np.zeros((6, 2), dtype=np.complex128)
+    with pytest.raises(DimensionMismatchError):
+        conjugate_each_register(v, np.eye(2), 2, 3)
+    with pytest.raises(DimensionMismatchError):
+        average_single_register_trace(v, 2, 3)
 
 
 def test_conjugate_each_register_q_one_is_plain_conjugation():
     rng = substream(6, 0)
-    state = random_state(3, rng)
+    v = random_factor(3, 2, rng)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u = np.linalg.qr(x)[0]
-    got = conjugate_each_register(state, u, 3, 1)
-    assert np.allclose(got, u @ state @ u.conj().T, atol=1e-12)
+    got = conjugate_each_register(v, u, 3, 1)
+    assert np.allclose(got, u @ v, atol=1e-12)
 
 
 def test_trace_distance_orthogonal_pure_states():

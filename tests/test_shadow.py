@@ -30,6 +30,7 @@ from shadowtomo.quantum import (
     ThresholdEffect,
     materialize_threshold,
     threshold_diagonal_values,
+    threshold_spectrum,
 )
 from shadowtomo.rng import substream
 from shadowtomo.search import search_budget, SearchParams
@@ -129,9 +130,18 @@ def test_operating_point_realizes_log4m_logd_eps5(monkeypatch):
     assert 1.4e8 <= per_log_d[0] and per_log_d[-1] <= 2.0e8
 
 
+def _state(h):
+    """The hypothesis state B^{⊗q} V V† B^{⊗q}† as a dense matrix."""
+    if h.factor is None:
+        return np.eye(h.d**h.q, dtype=np.complex128) / h.d**h.q
+    w = linalg.conjugate_each_register(h.factor, h.basis, h.d, h.q)
+    return w @ w.conj().T
+
+
 def test_hypothesis_initial_is_maximally_mixed():
     h = Hypothesis.initial(2, 3)
-    assert np.allclose(h.amplified, np.eye(8) / 8.0)
+    assert h.factor is None  # the factor-free I/D^q, allocating nothing
+    assert np.allclose(_state(h), np.eye(8) / 8.0)
     assert np.allclose(h.reduced, np.eye(2) / 2.0)
     assert h.p == 1.0
 
@@ -188,29 +198,33 @@ def test_postselect_hypothesis_matches_dense_conjugation():
     f3 = ThresholdEffect(base=e, registers=q, threshold=2, direction="at_least")
     updated = postselect_hypothesis(h, f3)
     dense = np.asarray(materialize_threshold(f3).mat)
-    want = dense @ h.amplified @ dense.conj().T  # projector-like PSD f: sqrt applies
-    # oracle via sqrt for non-projector thresholds
-    from shadowtomo.linalg import herm_sqrt
-
-    root = herm_sqrt(dense)
-    want = root @ h.amplified @ root
-    p_acc = float(np.real(np.trace(dense @ h.amplified)))
+    root = linalg.herm_sqrt(dense)
+    want = root @ _state(h) @ root
+    p_acc = float(np.real(np.trace(dense @ _state(h))))
     want = want / np.trace(want)
-    got = linalg.conjugate_each_register(updated.amplified, updated.basis, d, q)
-    assert np.allclose(got, want, atol=1e-8)
+    assert np.allclose(_state(updated), want, atol=1e-8)
     assert abs(updated.p - p_acc) < 1e-10
 
 
 def _two_conjugation_update(amplified, f, d, q):
-    """The update without a tracked frame: conjugate the state into the
-    effect's eigenbasis, scale it there, and conjugate it back."""
+    """The dense update without a tracked frame: conjugate the state into
+    the effect's eigenbasis, scale it there, and conjugate it back."""
     evals, u = linalg.eigh_spectrum(np.asarray(f.base.mat))
     fvals = threshold_diagonal_values(evals, q, f.threshold, f.direction)
-    sigma = linalg.conjugate_each_register(amplified, u.conj().T, d, q)
+    big = linalg.tensor_power(u, q)
+    sigma = big.conj().T @ amplified @ big
     p_acc = float(np.real(np.sum(fvals * np.diagonal(sigma))))
+    if p_acc <= DEGENERATE_BRANCH_PROB:
+        return None, p_acc
     root = np.sqrt(fvals)
     sigma = sigma * root[:, None] * root[None, :] / p_acc
-    return linalg.hermitize(linalg.conjugate_each_register(sigma, u, d, q)), p_acc
+    return linalg.hermitize(big @ sigma @ big.conj().T), p_acc
+
+
+def _dense_average_trace(state, d, q):
+    """Average of the q single-register partial traces of a dense state."""
+    t = [state.reshape(d**k, d, d ** (q - k - 1), d**k, d, d ** (q - k - 1)) for k in range(q)]
+    return sum(np.einsum("aibajb->ij", x) for x in t) / q
 
 
 @pytest.mark.parametrize(
@@ -233,7 +247,7 @@ def test_frame_tracked_update_matches_two_conjugation_update(d, q, seed, steps):
     # the state, 14 in `reduced` and 6.5 in p (relative); the bound is 100.
     rng = substream(seed, 0)
     h = Hypothesis.initial(d, q)
-    state, p = h.amplified, 1.0
+    state, p = _state(h), 1.0
     smallest = 1.0
     for t, direction, scale in steps:
         f = ThresholdEffect(Effect(random_effect(d, rng).mat * scale), q, min(t, q), direction)
@@ -244,11 +258,48 @@ def test_frame_tracked_update_matches_two_conjugation_update(d, q, seed, steps):
         state, p = want, p * p_acc
         smallest = min(smallest, p_acc)
         tol = 100 * np.finfo(float).eps / smallest
-        got = linalg.conjugate_each_register(h.amplified, h.basis, d, q)
-        np.testing.assert_allclose(got, state, rtol=0, atol=tol)
-        reduced = linalg.average_single_register_trace(state, d, q)
+        np.testing.assert_allclose(_state(h), state, rtol=0, atol=tol)
+        reduced = _dense_average_trace(state, d, q)
         np.testing.assert_allclose(h.reduced, reduced, rtol=0, atol=tol)
         assert h.p == pytest.approx(p, rel=tol, abs=0)
+
+
+@pytest.mark.parametrize("d, q", [(2, 4), (2, 6), (3, 3), (4, 3)])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**16),
+    st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from(DIRECTIONS), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_factor_columns_never_grow_and_zeroed_rows_stay_zero(d, q, seed, steps):
+    # Diagonal 0/1 effects give threshold spectra with exact zeros, so the
+    # factor loses rows and is refactored by QR; Haar-rotated projectors
+    # change the frame between those steps. Each update is also checked
+    # against the dense two-conjugation update.
+    rng = substream(seed, 0)
+    h = Hypothesis.initial(d, q)
+    state, smallest, columns = _state(h), 1.0, d**q
+    for t, direction, diagonal in steps:
+        if diagonal:
+            base = Effect(np.diag(rng.integers(0, 2, size=d)).astype(np.complex128))
+        else:
+            base = random_projector(d, int(rng.integers(1, d)), rng)
+        f = ThresholdEffect(base, q, min(t, q), direction)
+        want, p_acc = _two_conjugation_update(state, f, d, q)
+        if p_acc <= DEGENERATE_BRANCH_PROB:
+            break
+        h = postselect_hypothesis(h, f)
+        fvals, _ = threshold_spectrum(f)
+        assert h.factor.shape[0] == d**q
+        assert h.factor.shape[1] <= min(columns, np.count_nonzero(fvals))
+        assert not np.any(h.factor[fvals == 0.0])
+        columns = h.factor.shape[1]
+        state, smallest = want, min(smallest, p_acc)
+        tol = 100 * np.finfo(float).eps / smallest
+        np.testing.assert_allclose(_state(h), state, rtol=0, atol=tol)
 
 
 def test_shadow_trivial_instance_halts_immediately():
