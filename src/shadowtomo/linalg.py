@@ -197,14 +197,13 @@ def validate(
         violations.append(Violation("hermitian", defect))
 
     if kind in ("density", "effect"):
-        vals = np.linalg.eigvalsh(hermitize(m)) if eigenvalues is None else eigenvalues
-        lo, hi = float(np.min(vals)), float(np.max(vals))
+        vals = np.linalg.eigvalsh(hermitize(m)) if eigenvalues is None else np.sort(eigenvalues)
         # spectrum checks tolerate post-arithmetic drift
         spec_atol = max(atol, POST_ARITHMETIC_ATOL)
-        if lo < -spec_atol:
-            violations.append(Violation("psd", -lo))
-        if kind == "effect" and hi > 1.0 + spec_atol:
-            violations.append(Violation("subunital", hi - 1.0))
+        if vals[0] < -spec_atol:
+            violations.append(Violation("psd", float(-vals[0])))
+        if kind == "effect" and vals[-1] > 1.0 + spec_atol:
+            violations.append(Violation("subunital", float(vals[-1] - 1.0)))
         if kind == "density":
             tr_err = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
             if tr_err > spec_atol:

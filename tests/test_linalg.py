@@ -228,6 +228,15 @@ def test_validate_effect_flags_above_identity():
     assert not rep.ok
 
 
+def test_validate_bounds_a_given_spectrum_and_checks_hermiticity_on_the_matrix():
+    m = np.diag([0.2, 0.5]).astype(complex)
+    assert validate(m, "effect", eigenvalues=np.array([0.5, 0.2])).ok
+    bad = validate(m, "effect", eigenvalues=np.array([1.5, -0.4]))
+    assert {v.invariant for v in bad.violations} == {"psd", "subunital"}
+    skew = m + np.array([[0.0, 1e-3], [0.0, 0.0]])
+    assert not validate(skew, "effect", eigenvalues=np.array([0.2, 0.5])).ok
+
+
 def test_validate_unknown_kind_raises():
     with pytest.raises(ValueError):
         validate(np.eye(2, dtype=complex), "wibble")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowtomo import quantum
 from shadowtomo.errors import DegenerateBranchError, DimensionMismatchError
 from shadowtomo.instances import random_density, random_effect
 from shadowtomo.linalg import tensor_power
@@ -231,6 +232,15 @@ def test_materialize_threshold_matches_brute_force():
         got = np.asarray(materialize_threshold(te).mat)
         want = brute_force_threshold(np.asarray(base.mat), n, t, direction)
         assert np.allclose(got, want, atol=1e-10)
+
+
+def test_materialize_threshold_bounds_the_spectrum_it_builds_from(monkeypatch):
+    # the spectrum check reads threshold_spectrum's values, not an eigvalsh
+    te = ThresholdEffect(Effect(np.diag([0.2, 0.9])), 2, 1, "at_least")
+    values, u = quantum.threshold_spectrum(te)
+    monkeypatch.setattr(quantum, "threshold_spectrum", lambda m: (2.0 * values, u))
+    with pytest.raises(ValueError, match="subunital"):
+        materialize_threshold(te)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
