@@ -17,16 +17,15 @@ the ledger, and every measurement still checks its shape and draws its
 outcomes from the source's generator.
 
 Each batch is the only code that knows how its mode realizes an OR round
-(an AnyOf); no joint state or probability leaves it. In fresh mode an AnyOf
-over many units is drawn in one vectorized pass that consumes exactly the
-uniforms a unit-by-unit, member-by-member loop would, in the same order, so
-its outcomes and every later draw match that loop's: a sweep over the
-members, last to first, finds the first accepting member for every start
-position at once. Per-copy and exact
-batches measure one round at a time, with measure_collective: per-copy mode
-applies the members in order to its tracked copies until one accepts, and
-exact mode runs the control-qubit test on its joint state. They raise
-ModeUnsupportedError on an AnyOf passed to measure_units.
+(an AnyOf); no joint state or probability leaves it. In fresh mode an OR
+round is one draw per round at 1 - prod(1 - p_i) over its members'
+acceptances p_i, the law of applying the members in order on independent
+draws, so an AnyOf is drawn as a leaf or threshold is: one uniform per unit
+against its memoized acceptance. Per-copy and exact batches measure one
+round at a time, with measure_collective: per-copy mode applies the members
+in order to its tracked copies until one accepts, and exact mode runs the
+control-qubit test on its joint state. They raise ModeUnsupportedError on an
+AnyOf passed to measure_units.
 """
 
 from __future__ import annotations
@@ -102,8 +101,9 @@ class CopySource:
         self.mode = FidelityMode(mode)
         self.rng = rng
         self.ledger = CopyLedger(budget=budget)
-        # fresh mode's per-unit acceptance by id(measurement); an entry holds
-        # its measurement, so the id cannot be reused while the source lives
+        # fresh mode's per-unit acceptance by id(measurement), an OR round's
+        # included; an entry holds its measurement, so the id cannot be
+        # reused while the source lives
         self._unit_probs: dict[int, tuple[Measurement, float]] = {}
 
     @property
@@ -180,70 +180,31 @@ class StatisticalBatch(CopyBatch):
     Every probability is read through the source's memo: with no tracked
     state, an immutable hidden state and frozen measurements, a measurement's
     acceptance, and its leaf effect's, is computed once per source. The memo
-    changes no draw.
+    changes no draw. An OR round accepts with 1 - prod(1 - p_i) over its
+    members' acceptances, the law of applying them in order on independent
+    draws until one accepts, and is drawn with one uniform as any unit is.
     """
 
     def _unit_prob(self, m: Measurement) -> float:
         memo = self.source._unit_probs
         entry = memo.get(id(m))
         if entry is None:
-            leaf = leaf_effect(m)
-            if m is leaf:
-                v = accept_prob(leaf, self.source._true_state)
+            if isinstance(m, AnyOf):
+                v = 1.0 - float(np.prod([1.0 - self._unit_prob(x) for x in m.members]))
+            elif isinstance(m, Effect):
+                v = accept_prob(m, self.source._true_state)
             else:
-                v = threshold_accept_prob(m, self._unit_prob(leaf))
+                v = threshold_accept_prob(m, self._unit_prob(leaf_effect(m)))
             entry = memo[id(m)] = (m, v)
         return entry[1]
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
-        if isinstance(m, AnyOf):
-            return bool(self._any_of_outcomes(m, 1)[0])
         return bool(self.source.rng.random() < self._unit_prob(m))
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         n_units = self._check_units(m)
-        if isinstance(m, AnyOf):
-            return self._any_of_outcomes(m, n_units)
-        p = self._unit_prob(m)
-        return self.source.rng.random(n_units) < p
-
-    def _any_of_outcomes(self, m: AnyOf, n_units: int) -> np.ndarray:
-        """Outcomes of `n_units` consecutive AnyOf units.
-
-        The reference is a loop that, unit by unit, draws one uniform per
-        member in order and stops at the first uniform below its member's
-        acceptance. Each unit starts where the previous one stopped, so this
-        draws the most uniforms the loop could use, finds for every start
-        position how many a unit starting there uses (one comparison of a
-        contiguous slice per member), hops from unit to unit through those
-        counts, then rewinds the generator and draws only the uniforms the
-        loop would have used, leaving it where the loop would.
-        """
-        if n_units == 0:
-            return np.zeros(0, dtype=bool)
-        probs = np.array([self._unit_prob(x) for x in m.members])
-        k = len(probs)
-        rng = self.source.rng
-        state = rng.bit_generator.state
-        u = rng.random(n_units * k)
-        starts = len(u) - k + 1
-        # first[s]: the 1-based first member that accepts in a unit starting
-        # at uniform s, 0 if none does; swept last to first, so the earliest
-        # accepting member writes last
-        first = np.zeros(starts, dtype=np.intp)
-        for i in range(k - 1, -1, -1):
-            first[u[i : i + starts] < probs[i]] = i + 1
-        accepted = (first > 0).tolist()
-        used = np.where(first > 0, first, k).tolist()
-        out = []
-        pos = 0
-        for _ in range(n_units):
-            out.append(accepted[pos])
-            pos += used[pos]
-        rng.bit_generator.state = state
-        rng.random(pos)
-        return np.array(out, dtype=bool)
+        return self.source.rng.random(n_units) < self._unit_prob(m)
 
     def measure_count(self, e: Effect) -> int:
         return int(self.source.rng.binomial(self.n_copies, self._unit_prob(e)))

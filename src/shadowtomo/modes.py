@@ -30,8 +30,9 @@ fresh_copy_statistical
     sampled from their exact Binomial statistics, and repeated measurements
     are sampled independently, i.e. back-action is idealized away. Collective
     threshold acceptance on a product state is exact in this mode; only
-    cross-measurement damage is ignored. An OR round applies its members in
-    order until one accepts, each an independent draw, and many rounds are
+    cross-measurement damage is ignored. An OR round is one draw per round
+    at 1 - prod(1 - p_i) over its members' acceptances p_i, the law of
+    applying the members in order on independent draws, and many rounds are
     drawn in one vectorized pass.
 
 Each mode's realization lives in its copy batch (ledger.py) and nowhere

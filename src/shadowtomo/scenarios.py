@@ -336,6 +336,8 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     the generator the instance was drawn from."""
     source = _source(cfg, inst.rho, rng)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
+    # every search debits exactly q * ell_search copies, found or not
+    per_search = params.q * params.ell_search
     try:
         run = run_shadow_tomography(list(inst.effects), source, params)
     except IterationBoundExceededError as exc:
@@ -345,7 +347,8 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
         )
         extras.update(
             {"error": f"{type(exc).__name__}: {exc}", "t_ok": False,
-             "ledger_ok": source.ledger.consumed <= params.k_pred}
+             "ledger_ok": source.ledger.consumed <= params.k_pred,
+             "exact_consumption": source.ledger.consumed == params.t_bound * per_search}
         )
         return row, extras
     truth = np.asarray(inst.ground_truth)
@@ -365,6 +368,8 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
             "markov_ok": markov,
             "t_ok": t_ok,
             "ledger_ok": ledger_ok,
+            # the last search finds no detector, so T steps take T + 1 searches
+            "exact_consumption": run.copies_consumed == (run.transcript.t_final + 1) * per_search,
             "final_p": run.final_p,
             "p_floor": 0.9 / params.d**params.q,
             "p_floor_ok": run.final_p >= 0.9 / params.d**params.q,
@@ -484,6 +489,7 @@ def _check_shadow(cfg, rows, extras):
     markov = all(x["markov_ok"] for x in extras if "error" not in x)
     t_ok = all(x["t_ok"] for x in extras)
     ledger_ok = all(x["ledger_ok"] for r, x in zip(rows, extras) if r.success)
+    exact = all(x["exact_consumption"] for x in extras)
     need = 2.0 / 3.0
     info = {
         "success_rate_required": need,
@@ -491,12 +497,13 @@ def _check_shadow(cfg, rows, extras):
         "markov_all_steps": markov,
         "iteration_bound_respected": t_ok,
         "ledger_within_prediction": ledger_ok,
+        "exact_consumption": exact,
     }
     errors = [f"trial {r.trial}: {x['error']}" for r, x in zip(rows, extras) if "error" in x]
     if errors:
         info["trials_unchecked"] = len(errors)
         info["errors"] = errors
-    return info, rate >= need and markov and t_ok and ledger_ok
+    return info, rate >= need and markov and t_ok and ledger_ok and exact
 
 
 def _check_rate_one_minus_delta(cfg, rows, extras):

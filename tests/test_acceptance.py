@@ -186,6 +186,7 @@ def test_shadow_tomography_end_to_end():
     for row, extra in zip(rows, extras):
         if row.success:
             assert extra["ledger_ok"]
+    assert all(e["exact_consumption"] for e in extras)
     assert elapsed < 600.0
     print(f"PASS shadow tomography: {good}/60 within eps (need >= 40), "
           f"decay + iteration + ledger bounds in all, {elapsed:.0f}s")
@@ -270,6 +271,7 @@ def test_money_demo_all_keys():
     for row, extra in zip(rows, extras):
         if row.success:
             assert extra["true_key_within_eps"]
+    assert all(e["exact_consumption"] for e in extras)
     print(f"PASS money demo: {good}/30 trials estimate all 16 keys within eps (need >= 20)")
 
 

@@ -481,9 +481,31 @@ def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch)
     assert thresholds["trials_unchecked"] == 2
     assert [e.split(":")[0] for e in thresholds["errors"]] == ["trial 0", "trial 1"]
     assert all("IterationBoundExceededError: " in e for e in thresholds["errors"])
+    # the one search the bound allows still debits its exact budget
+    assert thresholds["exact_consumption"] is True
     cfg = resolve(scenarios.load_config(CONFIGS / "shadow-quick.cfg"))
     _, extras = run_trial(cfg, 0)
     assert "error" in extras and "markov_ok" not in extras
+
+
+def test_shadow_gate_requires_exact_consumption(monkeypatch):
+    # each search debits exactly q * ell_search copies; one copy more in any
+    # search fails the gate, whatever the other gates read
+    cfg = resolve(replace(scenarios.load_config(CONFIGS / "shadow-quick.cfg"), q=3))
+    check = SCENARIOS["shadow"].check
+    row, extras = run_trial(cfg, 0)
+    info, _ = check(cfg, [row], [extras])
+    assert extras["exact_consumption"] and info["exact_consumption"] is True
+    real = shadow.gentle_search
+
+    def leaky(effects, source, params):
+        source.dispense(1, "search-or")
+        return real(effects, source, params)
+
+    monkeypatch.setattr(shadow, "gentle_search", leaky)
+    row, extras = run_trial(cfg, 0)
+    info, met = check(cfg, [row], [extras])
+    assert not extras["exact_consumption"] and info["exact_consumption"] is False and not met
 
 
 def test_money_true_key_check_reads_the_minted_key(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for copy accounting and the mode-specific batch semantics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -621,6 +622,18 @@ def _or_rounds_loop(src, members, rounds):
 _MEMBER_PROB = st.one_of(st.none(), st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
 
 
+def _diag_members(probs, nested):
+    """On |0><0| the effect diag(p, 0) accepts with probability exactly p; a
+    nested member thresholds it over two registers. `None` stays padding."""
+    members = [None if p is None else Effect(np.diag([p, 0.0]).astype(complex)) for p in probs]
+    if nested:
+        members = [None if m is None else ThresholdEffect(m, 2, 1, "at_least") for m in members]
+    return members
+
+
+_KET0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(0, 2**16),
@@ -628,20 +641,50 @@ _MEMBER_PROB = st.one_of(st.none(), st.sampled_from((0.0, 1.0)), st.floats(0.0, 
     st.integers(1, 500),
     st.booleans(),
 )
-def test_any_of_batch_draws_as_the_round_by_round_loop(seed, probs, rounds, nested):
-    # on |0><0| the effect diag(p, 0) accepts with probability exactly p; a
-    # nested member thresholds it over two registers
-    rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    members = [None if p is None else Effect(np.diag([p, 0.0]).astype(complex)) for p in probs]
-    if nested:
-        members = [None if m is None else ThresholdEffect(m, 2, 1, "at_least") for m in members]
+def test_fresh_any_of_draws_one_uniform_per_round_at_the_or_law(seed, probs, rounds, nested):
+    # a fresh-mode OR round is one draw at 1 - prod(1 - p_i), the law of
+    # applying its members in order on independent draws
+    members = _diag_members(probs, nested)
+    live = [m for m in members if m is not None]
+    any_of = AnyOf(tuple(live))
+    width = unit_width(any_of)
+    p_or = 1.0 - float(
+        np.prod([1.0 - threshold_accept_prob(m, accept_prob(leaf_effect(m), _KET0)) for m in live])
+    )
+    src = CopySource(_KET0, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
+    ref = substream(seed, 1)
+    got = src.dispense(rounds * width, "x").measure_units(any_of)
+    np.testing.assert_array_equal(got, ref.random(rounds) < p_or)
+    loop = CopySource(_KET0, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
+    _or_rounds_loop(loop, members, rounds)
+    assert src.ledger.consumed == loop.ledger.consumed
+    # one round through measure_collective takes exactly one more draw
+    assert src.dispense(width, "x").measure_collective(any_of) == bool(ref.random() < p_or)
+    assert src.rng.random() == ref.random()  # the generator ends where the reference's does
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize(
+    "probs", [(0.3,), (0.1, None, 0.2, 0.05), (0.0, 0.01, 0.002, 0.03, 0.0, 0.004)]
+)
+@pytest.mark.parametrize("seed", [0, 1017])
+def test_fresh_any_of_accepts_as_often_as_the_round_by_round_loop(seed, probs, nested):
+    # the new draw and the member-by-member loop realize one law: both
+    # accept counts sit within 5 sigma of rounds * (1 - prod(1 - p_i)), and
+    # within 5 sigma of each other
+    rounds = 20_000
+    members = _diag_members(probs, nested)
     any_of = AnyOf(tuple(m for m in members if m is not None))
-    src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
-    ref = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
-    got = src.dispense(rounds * unit_width(any_of), "x").measure_units(any_of)
-    np.testing.assert_array_equal(got, _or_rounds_loop(ref, members, rounds))
-    assert src.ledger.consumed == ref.ledger.consumed
-    assert src.rng.random() == ref.rng.random()  # the generator ends where the loop's does
+    ps = [p if not nested else 1.0 - (1.0 - p) ** 2 for p in probs if p is not None]
+    p_or = 1.0 - math.prod(1.0 - p for p in ps)
+    sigma = math.sqrt(rounds * p_or * (1.0 - p_or))
+    src = CopySource(_KET0, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 1))
+    batch = int(src.dispense(rounds * unit_width(any_of), "x").measure_units(any_of).sum())
+    loop_src = CopySource(_KET0, FidelityMode.FRESH_COPY_STATISTICAL, substream(seed, 2))
+    loop = int(_or_rounds_loop(loop_src, members, rounds).sum())
+    for count in (batch, loop):
+        assert abs(count - rounds * p_or) <= 5.0 * sigma
+    assert abs(batch - loop) <= 5.0 * math.sqrt(2.0) * sigma
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
