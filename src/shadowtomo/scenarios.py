@@ -47,6 +47,7 @@ from .rng import substream
 from .search import SearchParams, gentle_search, search_copy_bound
 from .shadow import (
     ShadowParams,
+    ShadowRun,
     Transcript,
     derive_params,
     gap_test_size,
@@ -336,7 +337,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     the generator the instance was drawn from."""
     source = _source(cfg, inst.rho, rng)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
-    # every search debits exactly q * ell_search copies, found or not
+    # a search that finds a detector debits exactly q * ell_search copies
     per_search = params.q * params.ell_search
     try:
         run = run_shadow_tomography(list(inst.effects), source, params)
@@ -368,14 +369,26 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
             "markov_ok": markov,
             "t_ok": t_ok,
             "ledger_ok": ledger_ok,
-            # the last search finds no detector, so T steps take T + 1 searches
-            "exact_consumption": run.copies_consumed == (run.transcript.t_final + 1) * per_search,
+            "exact_consumption": _exact_consumption(run, per_search, params.m),
             "final_p": run.final_p,
             "p_floor": 0.9 / params.d**params.q,
             "p_floor_ok": run.final_p >= 0.9 / params.d**params.q,
         }
     )
     return row, extras
+
+
+def _exact_consumption(run: ShadowRun, per_search: int, m: int) -> bool:
+    """T steps take T + 1 searches, and each debits exactly `per_search`
+    copies, but for the last, which finds nothing. It debits less only when
+    it ends in the None padding that fills the 2M candidates up to a power
+    of two, which skips the padded levels' OR decisions and the verification."""
+    steps = run.transcript.steps
+    last = run.copies_consumed - sum(s.copies_debited for s in steps)
+    padded = (2 * m) & (2 * m - 1) != 0
+    return all(s.copies_debited == per_search for s in steps) and (
+        last == per_search or (padded and last < per_search)
+    )
 
 
 def _trial_shadow(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):

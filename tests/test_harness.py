@@ -508,6 +508,16 @@ def test_shadow_gate_requires_exact_consumption(monkeypatch):
     assert not extras["exact_consumption"] and info["exact_consumption"] is False and not met
 
 
+def test_shadow_gate_lets_a_search_that_ends_in_padding_debit_less():
+    # 2M = 10 candidates are padded to 16: a search that walks into the
+    # padding skips its OR decisions and its verification, and finds nothing
+    cfg = resolve(replace(scenarios.load_config(CONFIGS / "shadow-quick.cfg"), q=3, m=5))
+    params = shadow.derive_params(cfg.d, cfg.m, cfg.epsilon, cfg.delta, q=cfg.q)
+    row, extras = run_trial(cfg, 0)
+    assert row.copies_consumed < (row.iterations + 1) * params.q * params.ell_search
+    assert extras["exact_consumption"]
+
+
 def test_money_true_key_check_reads_the_minted_key(monkeypatch):
     cfg = resolve(ScenarioConfig(scenario="money-demo", trials=1))
     _, inst = make_wiesner_instance(cfg.qubits, substream(cfg.seed, 0))
