@@ -380,9 +380,9 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
 
 def _exact_consumption(run: ShadowRun, per_search: int, m: int) -> bool:
     """T steps take T + 1 searches, and each debits exactly `per_search`
-    copies, but for the last, which finds nothing. It debits less only when
-    it ends in the None padding that fills the 2M candidates up to a power
-    of two, which skips the padded levels' OR decisions and the verification."""
+    copies. Only the last, which finds nothing, may debit less: when it ends
+    in the None padding that fills the 2M candidates up to a power of two,
+    it skips the padded levels' OR decisions and the verification."""
     steps = run.transcript.steps
     last = run.copies_consumed - sum(s.copies_debited for s in steps)
     padded = (2 * m) & (2 * m - 1) != 0
