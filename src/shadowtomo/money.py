@@ -8,10 +8,18 @@ matching symbol, 0 for a computational-basis mismatch, 1/2 per basis
 mismatch. The true key is the unique verifier with acceptance 1, so
 estimating all 4^d acceptance probabilities to within a constant from few
 bill copies is exactly the counterfeiting resource question.
+
+The 4^d keys, bill states and verifier effects depend only on d, so they
+are built once per qubit count, on the first instance drawn at that count,
+and every instance shares them. All of them are immutable: the keys are
+tuples, and every state and effect is frozen with a read-only matrix. A
+copy source memoizes acceptances per source, so sharing the effects shares
+no acceptance between bills.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -50,6 +58,20 @@ class WiesnerInstance:
     keys: tuple[tuple[int, ...], ...]
 
 
+@functools.lru_cache(maxsize=2)
+def _verifier_bank(
+    d_qubits: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[DensityMatrix, ...], tuple[Effect, ...]]:
+    """Every key, its bill state and its verifier, in lexicographic key
+    order. The bill and the verifier of a key are the same projector, once
+    as a state and once as an effect."""
+    keys = tuple(all_keys(d_qubits))
+    projectors = [np.outer(v, v.conj()) for v in map(key_state, keys)]
+    bills = tuple(DensityMatrix(p, atol=CONSTRUCTION_ATOL) for p in projectors)
+    verifiers = tuple(Effect(p, atol=CONSTRUCTION_ATOL) for p in projectors)
+    return keys, bills, verifiers
+
+
 def make_wiesner_instance(
     d_qubits: int, rng: np.random.Generator
 ) -> tuple[WiesnerInstance, Instance]:
@@ -57,19 +79,13 @@ def make_wiesner_instance(
 
     The tomography instance's state is the bill and its effects are every
     candidate verifier in lexicographic key order; metadata records which
-    index is the minted key.
+    index is the minted key. Only the key index is drawn per instance: the
+    states and verifiers are the shared, immutable bank for d_qubits.
     """
     if d_qubits < 1:
         raise ValueError("need at least one qubit")
-    keys = all_keys(d_qubits)
+    keys, bills, verifiers = _verifier_bank(d_qubits)
     idx = int(rng.integers(len(keys)))
-    true_key = keys[idx]
-    bill = key_state(true_key)
-    rho = DensityMatrix(np.outer(bill, bill.conj()), atol=CONSTRUCTION_ATOL)
-    effects = []
-    for key in keys:
-        v = key_state(key)
-        effects.append(Effect(np.outer(v, v.conj()), atol=CONSTRUCTION_ATOL))
-    instance = make_instance(rho, effects, {"kind": "wiesner", "true_key_index": idx})
-    wiesner = WiesnerInstance(d_qubits, true_key, idx, tuple(keys))
+    instance = make_instance(bills[idx], list(verifiers), {"kind": "wiesner", "true_key_index": idx})
+    wiesner = WiesnerInstance(d_qubits, keys[idx], idx, keys)
     return wiesner, instance

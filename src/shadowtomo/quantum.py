@@ -31,6 +31,7 @@ on; controlled_or_accept_prob computes its exact acceptance for reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 from typing import Literal, Union
 
@@ -92,6 +93,15 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @functools.cached_property
+    def spectrum(self) -> linalg.Spectrum:
+        """eigh spectrum of `mat`, taken on first use and kept: `mat` is
+        read-only, and so are the kept arrays."""
+        spec = linalg.eigh_spectrum(self.mat)
+        for a in spec:
+            a.setflags(write=False)
+        return spec
 
 
 Measurement = Union[Effect, "ThresholdEffect", "AnyOf"]
@@ -230,7 +240,10 @@ def binomial_tail(n: int, p: float, t: int, direction: Direction) -> float:
     """Exact Binomial(n, p) tail mass: P[X >= t] or P[X <= t].
 
     Accepts the sentinel thresholds one step outside [0, n] (empty or full
-    event), mirroring ThresholdEffect boundary conventions.
+    event), mirroring ThresholdEffect boundary conventions. Every call is
+    validated; the value of a valid call is read from a bounded memo keyed
+    on (n, p, t, direction), since shadow runs ask for the same tails over
+    and over, and the memo holds exactly the value it would recompute.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -238,6 +251,11 @@ def binomial_tail(n: int, p: float, t: int, direction: Direction) -> float:
         raise ValueError(f"p={p} outside [0, 1]")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
+    return _binomial_tail_value(n, p, t, direction)
+
+
+@functools.lru_cache(maxsize=4096)
+def _binomial_tail_value(n: int, p: float, t: int, direction: Direction) -> float:
     # regularized incomplete beta: P[X >= t] = I_p(t, n-t+1); far cheaper
     # per call than a frozen scipy distribution, and exact to float precision
     if direction == "at_least":
@@ -308,19 +326,14 @@ def threshold_diagonal_values(
     registers is diagonal in the U^{⊗q} product basis. The entry for a basis
     string s is the Poisson-binomial tail of q independent accepts with
     probabilities e[s_r]. Returned as a vector over all d^q strings, register
-    0 varying slowest. Vectorized DP over all strings at once.
+    0 varying slowest. Vectorized DP over all strings at once; the strings'
+    digit table is built once per (d, q) and kept read-only.
     """
     e = np.asarray(eigenvalues, dtype=np.float64)
     e = np.clip(e, 0.0, 1.0)
     d = e.shape[0]
     total = d**q
-    # digits[s, r] = r-th digit of string s, most significant first
-    idx = np.arange(total)
-    digits = np.empty((total, q), dtype=np.intp)
-    for r in range(q - 1, -1, -1):
-        digits[:, r] = idx % d
-        idx //= d
-    probs = e[digits]  # (total, q)
+    probs = e[_digit_table(d, q)]  # (total, q)
     table = np.zeros((total, q + 1), dtype=np.float64)
     table[:, 0] = 1.0
     for r in range(q):
@@ -335,6 +348,19 @@ def threshold_diagonal_values(
     return table[:, mask].sum(axis=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _digit_table(d: int, q: int) -> np.ndarray:
+    """Read-only (d^q, q) table: entry [s, r] is the r-th base-d digit of
+    string s, most significant first."""
+    idx = np.arange(d**q)
+    digits = np.empty((d**q, q), dtype=np.intp)
+    for r in range(q - 1, -1, -1):
+        digits[:, r] = idx % d
+        idx //= d
+    digits.setflags(write=False)
+    return digits
+
+
 def threshold_spectrum(m: Measurement) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of `m`'s accepting operator and the leaf eigenbasis U.
 
@@ -342,10 +368,11 @@ def threshold_spectrum(m: Measurement) -> tuple[np.ndarray, np.ndarray]:
     copies is diagonal in the U^{⊗w} product basis at every nesting depth:
     each level's diagonal holds the tails (threshold_diagonal_values) of the
     level below's. Returns those d^w entries, register 0 varying slowest,
-    and U; each level's size is cap-checked before it is built.
+    and U; each level's size is cap-checked before it is built. A leaf
+    effect returns its kept, read-only `Effect.spectrum`.
     """
     if isinstance(m, Effect):
-        return linalg.eigh_spectrum(np.asarray(m.mat))
+        return m.spectrum
     values, u = threshold_spectrum(m.base)
     linalg.check_dense_dim(values.shape[0] ** m.registers, "threshold spectrum")
     return threshold_diagonal_values(values, m.registers, m.threshold, m.direction), u

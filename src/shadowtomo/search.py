@@ -69,7 +69,11 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Deterministic copy consumption of one full search, in units."""
+    """Copy consumption of one search that reaches verification, in units.
+
+    Exact for every search when the candidate count is a power of two.
+    Otherwise a search that walks into the None padding skips those levels'
+    OR decisions and its verification, and debits less."""
 
     levels: int
     ells: tuple[int, ...]
@@ -126,11 +130,15 @@ def verify_candidate(
 
 
 def search_budget(m: int, params: SearchParams) -> SearchBudget:
-    """Exact copy consumption of gentle_search for m candidates, in units.
+    """Exact copy consumption of a gentle_search over m candidates that
+    reaches verification, in units.
 
-    Deterministic: every level runs the full OR-bound round count and the
-    verification sample size is fixed, so consumption never varies between
-    trials. Level ells shrink as the window halves.
+    Every level runs the full OR-bound round count and the verification
+    sample size is fixed, so such a search always debits this much. When m
+    is a power of two every search reaches verification. Otherwise a search
+    that walks into the None padding skips the OR decision of each level
+    whose first half is all padding, and the verification of a padding
+    survivor, so it debits less. Level ells shrink as the window halves.
     """
     levels, alpha, beta = params.level_params(m)
     ells = []

@@ -65,7 +65,11 @@ def _robust_floor(x: float) -> int:
 
 @dataclass(frozen=True)
 class ShadowParams:
-    """Derived operating point of one shadow-tomography run."""
+    """Derived operating point of one shadow-tomography run.
+
+    ell_search is the copy cost, in q-copy units, of one search that
+    reaches verification (search_budget); a search that ends in candidate
+    padding debits less."""
 
     d: int
     m: int
@@ -190,11 +194,6 @@ class Hypothesis:
     def initial(cls, d: int, q: int) -> "Hypothesis":
         linalg.check_dense_dim(d**q, "amplified hypothesis")
         return cls(None, np.eye(d, dtype=np.complex128), d, q, 1.0)
-
-    def value(self, e: Effect) -> float:
-        """Tr(E rho_t) against the reduced hypothesis state."""
-        v = float(np.real(np.trace(np.asarray(e.mat) @ self.reduced)))
-        return min(max(v, 0.0), 1.0)
 
 
 def build_refinement_effects(
@@ -348,9 +347,13 @@ def run_shadow_tomography(
     sp = params.search_params()
     consumed_before = rho_source.ledger.consumed
     steps: list[TranscriptStep] = []
+    mats = np.stack([e.mat for e in effects])
 
     for _round in range(params.t_bound):
-        values = [h.value(e) for e in effects]
+        # every hypothesis value Tr(E_i rho_t) at once, against the reduced
+        # state, clipped into [0, 1]
+        traces = np.real(np.trace(mats @ h.reduced, axis1=1, axis2=2))
+        values = np.clip(traces, 0.0, 1.0).tolist()
         candidates: list[Measurement | None] = []
         for e, v in zip(effects, values):
             plus, minus = build_refinement_effects(e, v, params)

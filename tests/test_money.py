@@ -3,7 +3,10 @@
 import itertools
 
 import numpy as np
+import pytest
 
+from shadowtomo.ledger import CopySource
+from shadowtomo.modes import FidelityMode
 from shadowtomo.money import WiesnerInstance, all_keys, key_state, make_wiesner_instance
 from shadowtomo.quantum import accept_prob
 from shadowtomo.rng import substream
@@ -81,3 +84,44 @@ def test_make_wiesner_instance_deterministic():
     b_wi, b_inst = make_wiesner_instance(2, substream(1, 0))
     assert a_wi.true_key == b_wi.true_key
     assert np.allclose(a_inst.rho.mat, b_inst.rho.mat)
+
+
+def _instance_with_key(index, seed):
+    """The first instance, over trials of `seed`, whose minted key is `index`."""
+    for t in range(1000):
+        wi, inst = make_wiesner_instance(2, substream(seed, t))
+        if wi.true_key_index == index:
+            return inst
+    raise AssertionError(f"no trial minted key {index}")
+
+
+def test_instances_share_one_read_only_verifier_bank():
+    _, a = make_wiesner_instance(2, substream(2, 0))
+    _, b = make_wiesner_instance(2, substream(3, 0))
+    assert len(a.effects) == 16
+    assert all(x is y for x, y in zip(a.effects, b.effects))
+    for e in a.effects:
+        assert not e.mat.flags.writeable
+        with pytest.raises(ValueError):
+            e.mat[0, 0] = 0.0
+
+
+def test_sources_over_shared_verifiers_report_their_own_bill():
+    # key (0, 0) and key (1, 0) differ in one computational-basis bit, so
+    # each bill's verifier accepts the other bill with probability 0; every
+    # verifier accepting a bill with certainty or never is then drawn
+    # deterministically, and a memo shared across sources would show
+    n = 200
+    insts = [_instance_with_key(0, 4), _instance_with_key(4, 4)]
+    assert insts[0].effects is not insts[1].effects
+    assert all(x is y for x, y in zip(*(i.effects for i in insts)))
+    sources = [
+        CopySource(i.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(5, k))
+        for k, i in enumerate(insts)
+    ]
+    for inst, source in zip(insts, sources):
+        certain = [(e, v) for e, v in zip(inst.effects, inst.ground_truth) if v in (0.0, 1.0)]
+        assert len(certain) >= 2
+        for e, v in certain:
+            assert source.dispense(n, "test").measure_count(e) == n * v
+    assert insts[0].ground_truth[0] == 1.0 and insts[1].ground_truth[0] == 0.0

@@ -1,11 +1,14 @@
-"""Golden digests of the per-copy collapse path and the classical hard family.
+"""Golden digests of the per-copy collapse path, the fresh-mode shadow path
+and the classical hard family.
 
 Each case runs a shipped config through the CLI and pins the sha256 of its
 `results.csv`; lower-classical's rows hold nothing that depends on the sampled
-family, so its families are pinned on their own. Any change to a per-copy
-outcome, to the subset family's repair, to the order of their random draws
-or to the row layout fails here. A change that alters them on purpose must
-say so and update the digest.
+family, so its families are pinned on their own. money-demo pins the
+fresh-mode shadow path: its verifier bank, OR rounds, threshold tails,
+hypothesis values and postselections. Any change to a per-copy outcome, to a
+fresh-mode draw or hypothesis update, to the subset family's repair, to the
+order of their random draws or to the row layout fails here. A change that
+alters them on purpose must say so and update the digest.
 """
 
 import hashlib
@@ -44,6 +47,11 @@ def _results_digest(config, overrides, out):
 @pytest.mark.parametrize("config, overrides, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_per_copy_results_digest_is_pinned(config, overrides, digest, tmp_path, capsys):
     assert _results_digest(config, overrides, tmp_path / "out") == digest
+
+
+def test_money_demo_results_digest_is_pinned(tmp_path, capsys):
+    digest = _results_digest("money-demo", ["--set", "trials=30"], tmp_path / "out")
+    assert digest == "deb3503a7043a029def67bf30bcdddc08a2acfd06e063cc03248e92d6765abd1"
 
 
 @pytest.mark.parametrize(

