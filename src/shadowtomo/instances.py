@@ -1,9 +1,9 @@
 """Random states, effects, and promise instances for scenarios and tests.
 
-An Instance bundles a state, target effects, and the exact acceptance values.
-The ground truth is validation data: runners hand algorithms only the effects
-and a CopySource built from the state, and grade the output against the
-stored values afterward.
+An Instance bundles a state, target effects, and the exact acceptance values,
+which it computes from them. The ground truth is validation data: runners
+hand algorithms only the effects and a CopySource built from the state, and
+grade the output against the stored values afterward.
 """
 
 from __future__ import annotations
@@ -21,20 +21,13 @@ from .quantum import DensityMatrix, Effect, accept_prob
 class Instance:
     rho: DensityMatrix
     effects: tuple[Effect, ...]
-    ground_truth: tuple[float, ...]
     metadata: dict = field(default_factory=dict)
+    ground_truth: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.effects) != len(self.ground_truth):
-            raise DimensionMismatchError("need one ground-truth value per effect")
-        for e, v in zip(self.effects, self.ground_truth):
-            if abs(accept_prob(e, self.rho) - v) > 1e-10:
-                raise ValueError("stored ground truth does not match the instance")
-
-
-def make_instance(rho: DensityMatrix, effects: list[Effect], metadata: dict | None = None) -> Instance:
-    truth = tuple(accept_prob(e, rho) for e in effects)
-    return Instance(rho, tuple(effects), truth, metadata or {})
+        object.__setattr__(self, "effects", tuple(self.effects))
+        truth = tuple(accept_prob(e, self.rho) for e in self.effects)
+        object.__setattr__(self, "ground_truth", truth)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +133,7 @@ def or_promise_instance(
         phi = pure_with_overlap(psi, overlap, rng)
         effects.append(Effect(np.outer(phi, phi.conj()), atol=CONSTRUCTION_ATOL))
     meta = {"planted_index": planted_at, "case": "case_ii" if planted_at is None else "case_i"}
-    return make_instance(rho, effects, meta)
+    return Instance(rho, effects, meta)
 
 
 def projector_instance(d: int, m: int, rng: np.random.Generator) -> Instance:
@@ -148,7 +141,7 @@ def projector_instance(d: int, m: int, rng: np.random.Generator) -> Instance:
     psi = random_pure(d, rng)
     rho = DensityMatrix(np.outer(psi, psi.conj()), atol=CONSTRUCTION_ATOL)
     effects = [random_projector(d, 1, rng) for _ in range(m)]
-    return make_instance(rho, effects, {"kind": "rank1-projectors"})
+    return Instance(rho, effects, {"kind": "rank1-projectors"})
 
 
 def _diagonal_effect_with_value(
@@ -191,5 +184,5 @@ def diagonal_gap_instance(
         e = _diagonal_effect_with_value(p, target, rng)
         effects.append(Effect(np.diag(e), atol=CONSTRUCTION_ATOL))
         sides.append("above" if above else "below")
-    inst = make_instance(rho, effects, {"kind": "diagonal-gap", "sides": sides})
+    inst = Instance(rho, effects, {"kind": "diagonal-gap", "sides": sides})
     return inst, [cutoff] * m

@@ -17,15 +17,11 @@ the ledger, and every measurement still checks its shape and draws its
 outcomes from the source's generator.
 
 Each batch is the only code that knows how its mode realizes an OR round
-(an AnyOf); no joint state or probability leaves it. In fresh mode an OR
-round is one draw per round at 1 - prod(1 - p_i) over its members'
-acceptances p_i, the law of applying the members in order on independent
-draws, so an AnyOf is drawn as a leaf or threshold is: one uniform per unit
-against its memoized acceptance. Per-copy and exact batches measure one
-round at a time, with measure_collective: per-copy mode applies the members
-in order to its tracked copies until one accepts, and exact mode runs the
-control-qubit test on its joint state. They raise ModeUnsupportedError on an
-AnyOf passed to measure_units.
+(an AnyOf), and no joint state or probability leaves it; modes.py states
+what each mode does with each measurement kind. A fresh batch draws an
+AnyOf as a leaf or threshold: one uniform per unit against its memoized
+acceptance. An exact batch measures one round per measure_collective call
+and refuses an AnyOf in measure_units; a per-copy batch refuses every AnyOf.
 """
 
 from __future__ import annotations
@@ -125,7 +121,7 @@ class CopyBatch:
     """A dispensed block of copies. Outcomes only; no probabilities leak out.
 
     measure_collective  apply `m` once, spanning the whole batch; an AnyOf
-                        is one OR round, realized as the mode realizes it
+                        is one OR round, which the mode realizes or refuses
     measure_units       apply `m` once per unit-width slice of the batch
     measure_count       apply a single-copy effect to every copy, return the
                         number of accepts
@@ -216,8 +212,7 @@ class PerCopyBatch(CopyBatch):
     Every measurement collapses each copy once, in copy order, under its leaf
     effect; a threshold's outcomes are then counted level by level from
     those per-copy outcomes (`threshold_outcomes`), with no further quantum
-    step. An OR round applies its members so, in order, until one accepts:
-    each rejection collapses the block the next member sees.
+    step. An OR round (AnyOf) raises ModeUnsupportedError (see modes.py).
 
     Copies with the same outcome history share one stored state. Every copy
     starts in the hidden state, and a collapse is a deterministic function of
@@ -267,14 +262,16 @@ class PerCopyBatch(CopyBatch):
 
     def _unit_outcomes(self, m: Measurement) -> np.ndarray:
         if isinstance(m, AnyOf):
-            raise ModeUnsupportedError("per-copy mode measures one OR round per collective call")
+            raise ModeUnsupportedError(
+                "per-copy mode cannot simulate an OR round: its gentle collective "
+                "measurement entangles the block, and a per-copy store cannot hold that"
+            )
         leaf_accepts = self._measure_copies(leaf_effect(m), np.arange(self.n_copies))
         return threshold_outcomes(m, leaf_accepts)
 
     def measure_collective(self, m: Measurement) -> bool:
         self._check_collective(m)
-        members = m.members if isinstance(m, AnyOf) else (m,)
-        return any(bool(self._unit_outcomes(x)[0]) for x in members)
+        return bool(self._unit_outcomes(m)[0])
 
     def measure_units(self, m: Measurement) -> np.ndarray:
         self._check_units(m)

@@ -5,38 +5,46 @@ exact_tensor
     Joint states are materialized as dense matrices and every measurement is
     realized by the canonical two-outcome collapse on the joint, unit by
     unit in unit order. An OR round is the control-qubit test on the joint
-    state. Faithful to measurement back-action, but every materialized
-    dimension must stay within the dimension cap fixed in config.py.
+    state. Every materialized dimension must stay within the dimension cap
+    fixed in config.py.
 
 per_copy_collapse
     Copies are tracked individually. Every measurement collapses each copy
     once, in copy order, under the leaf effect of a (possibly nested)
     threshold; the threshold's outcome is then counted level by level from
-    those per-copy outcomes. An OR round applies its members so, in order,
-    until one accepts. That measures each amplified candidate's threshold
-    register by register, not as the gentle collective measurement the OR
-    test assumes, and a rejection leaves the copies where the next
-    candidate accepts more often, so OR decisions are not sound here: at
-    seed 0 the orbound scenario in this mode gets all 10 of its first 20
-    trials' all-below instances wrong. Copies with the same outcome history
-    share one stored state, so a block costs one collapse per distinct
-    history, not per copy, and one measurement's collapses run as grouped
-    matrix products. Honest about per-copy damage, never materializes
-    a joint state, but cannot represent coherence across registers (for
-    commuting/diagonal instances it is exact).
+    those per-copy outcomes. Copies with the same outcome history share one
+    stored state, so a block costs one collapse per distinct history, and
+    one measurement's collapses run as grouped matrix products. No joint
+    state is materialized, so no coherence across registers is represented.
 
 fresh_copy_statistical
-    No states are tracked at all. Measurement outcomes on product states are
-    sampled from their exact Binomial statistics, and repeated measurements
-    are sampled independently, i.e. back-action is idealized away. Collective
-    threshold acceptance on a product state is exact in this mode; only
-    cross-measurement damage is ignored. An OR round is one draw per round
-    at 1 - prod(1 - p_i) over its members' acceptances p_i, the law of
-    applying the members in order on independent draws, and many rounds are
-    drawn in one vectorized pass.
+    No states are tracked at all. Outcomes are sampled from their exact
+    statistics on fresh copies, every measurement independently. An OR
+    round is one draw at 1 - prod(1 - p_i) over its members' acceptances
+    p_i, the law of applying the members in order on independent draws,
+    and many rounds are drawn in one vectorized pass.
 
 Each mode's realization lives in its copy batch (ledger.py) and nowhere
-else: algorithms hand a batch a measurement and read back outcomes.
+else: algorithms hand a batch a measurement and read back outcomes. What
+each mode does with each measurement kind:
+
+                            leaf effect  count      collective   AnyOf
+                                                    threshold    (OR round)
+    exact_tensor            sound        sound      sound        sound (a)
+    per_copy_collapse       sound        sound      by design    refuses (b)
+    fresh_copy_statistical  by design    by design  by design    by design
+
+sound      outcomes and back-action follow the measurement's law.
+by design  one measurement's outcomes follow its law, but the state later
+           measurements see differs on purpose: fresh mode draws every
+           measurement independently, and a per-copy threshold collapses
+           each register under its leaf effect, which matches the
+           collective back-action only on commuting (diagonal) instances.
+refuses    raises ModeUnsupportedError and names the reason.
+(a) as one collective measurement; measure_units refuses an AnyOf.
+(b) the round's gentle collective measurement entangles the block, which a
+    per-copy store cannot hold, so orbound, search, shadow and money-demo
+    exit 3 in this mode.
 """
 
 from enum import Enum

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CONSTRUCTION_ATOL
-from .instances import Instance, make_instance
+from .instances import Instance
 from .quantum import DensityMatrix, Effect
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -86,6 +86,6 @@ def make_wiesner_instance(
         raise ValueError("need at least one qubit")
     keys, bills, verifiers = _verifier_bank(d_qubits)
     idx = int(rng.integers(len(keys)))
-    instance = make_instance(bills[idx], list(verifiers), {"kind": "wiesner", "true_key_index": idx})
+    instance = Instance(bills[idx], list(verifiers), {"kind": "wiesner", "true_key_index": idx})
     wiesner = WiesnerInstance(d_qubits, keys[idx], idx, keys)
     return wiesner, instance

@@ -19,7 +19,7 @@ is built with one. The one mode fact used here is that fresh-mode rounds
 are independent, so a decision dispenses all rounds' blocks as one batch
 and measures the round on every block in one vectorized draw, one draw per
 round at 1 - prod(1 - p_i), the law of applying the members in order on
-independent draws; in the tracked modes each round gets its own block.
+independent draws; in exact mode each round gets its own block.
 
 The random-order tester draws one copy from a CopySource, shuffles the
 effects and applies them in sequence to that copy, which collapses as far as

@@ -145,13 +145,10 @@ class ThresholdEffect:
 class AnyOf:
     """One OR round over `members` on the same block of copies.
 
-    Each fidelity mode realizes the round its own way: fresh mode draws
-    it once at 1 - prod(1 - p_i) over the members' acceptances p_i, the law
-    of applying the members in order on independent draws; per-copy mode
-    applies the members in order on its tracked copies until one accepts,
-    so each rejection collapses the block the next member sees; exact mode
-    runs the control-qubit test (`controlled_or_test`) on the block's joint
-    state.
+    Fresh mode draws the round once at 1 - prod(1 - p_i) over the members'
+    acceptances p_i; exact mode runs the control-qubit test
+    (`controlled_or_test`) on the block's joint state; per-copy mode refuses
+    it (see modes.py).
 
     Every member spans the same number of copies, checked at construction
     and read by `unit_width`.

@@ -464,6 +464,19 @@ def test_value_the_scenario_cannot_use_exits_3(config, setting, message, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config", ["orbound", "search", "shadow-quick", "money-demo"])
+def test_per_copy_mode_refuses_an_or_round_and_exits_3(config, tmp_path, capsys):
+    # a per-copy store cannot hold the OR round's gentle collective measurement
+    code = main(
+        ["run", "--config", str(CONFIGS / f"{config}.cfg"), "--set", "mode=per_copy_collapse",
+         "--set", "trials=1", "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: ModeUnsupportedError: per-copy mode cannot simulate an OR round" in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch):
     # c_t=0.001 caps the search count at 1, so both trials raise
     # IterationBoundExceededError and no transcript is ever checked
