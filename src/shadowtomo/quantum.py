@@ -36,7 +36,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Literal, Union
 
 import numpy as np
-from scipy import special
 
 from .config import CONSTRUCTION_ATOL, DEGENERATE_BRANCH_PROB, POST_ARITHMETIC_ATOL
 from .errors import DegenerateBranchError, DimensionMismatchError
@@ -240,7 +239,9 @@ def binomial_tail(n: int, p: float, t: int, direction: Direction) -> float:
     event), mirroring ThresholdEffect boundary conventions. Every call is
     validated; the value of a valid call is read from a bounded memo keyed
     on (n, p, t, direction), since shadow runs ask for the same tails over
-    and over, and the memo holds exactly the value it would recompute.
+    and over, and the memo holds exactly the value it would recompute. The
+    first memo miss imports scipy.special for its betainc, so a process
+    that never asks for a tail never loads scipy.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -255,6 +256,8 @@ def binomial_tail(n: int, p: float, t: int, direction: Direction) -> float:
 def _binomial_tail_value(n: int, p: float, t: int, direction: Direction) -> float:
     # regularized incomplete beta: P[X >= t] = I_p(t, n-t+1); far cheaper
     # per call than a frozen scipy distribution, and exact to float precision
+    from scipy import special
+
     if direction == "at_least":
         if t <= 0:
             return 1.0
@@ -322,12 +325,29 @@ def threshold_diagonal_values(
     With the base effect E = U diag(e) U†, the threshold operator over q
     registers is diagonal in the U^{⊗q} product basis. The entry for a basis
     string s is the Poisson-binomial tail of q independent accepts with
-    probabilities e[s_r]. Returned as a vector over all d^q strings, register
-    0 varying slowest. Vectorized DP over all strings at once; the strings'
-    digit table is built once per (d, q) and kept read-only.
+    probabilities e[s_r]. Returned as a read-only vector over all d^q
+    strings, register 0 varying slowest.
+
+    Every call is validated; the vector of a valid call is read from a
+    bounded memo keyed on (eigenvalue bytes, q, threshold, direction), since
+    shadow runs postselect on the same few spectra over and over, and the
+    memo holds exactly the vector it would recompute. It keeps at most 64
+    entries; at the 4096 dimension cap one entry is up to 64 KB (a 4096-entry
+    float64 key and value), so at most 4 MiB.
     """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
     e = np.asarray(eigenvalues, dtype=np.float64)
-    e = np.clip(e, 0.0, 1.0)
+    return _threshold_diagonal_values(e.tobytes(), q, threshold, direction)
+
+
+@functools.lru_cache(maxsize=64)
+def _threshold_diagonal_values(
+    eigenvalue_bytes: bytes, q: int, threshold: int, direction: Direction
+) -> np.ndarray:
+    # vectorized DP over all strings at once; the strings' digit table is
+    # built once per (d, q) and kept read-only
+    e = np.clip(np.frombuffer(eigenvalue_bytes, dtype=np.float64), 0.0, 1.0)
     d = e.shape[0]
     total = d**q
     probs = e[_digit_table(d, q)]  # (total, q)
@@ -342,7 +362,9 @@ def threshold_diagonal_values(
         mask = counts >= threshold
     else:
         mask = counts <= threshold
-    return table[:, mask].sum(axis=1)
+    values = table[:, mask].sum(axis=1)
+    values.setflags(write=False)
+    return values
 
 
 @functools.lru_cache(maxsize=16)

@@ -11,7 +11,6 @@ summary) decide the process exit status.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
@@ -717,10 +716,17 @@ def _parameters_echo(cfg: ScenarioConfig) -> dict:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioOutcome:
-    """Run every trial of `cfg` and write the output files into cfg.out_dir."""
+    """Run every trial of `cfg` and write the output files into cfg.out_dir.
+
+    With workers > 1 and more than one trial, the trials run in a process
+    pool, whose module is imported only then; otherwise they run in this
+    process, in order. The outputs are the same either way, since trial t
+    draws only from substream(seed, t)."""
     cfg = resolve(cfg)
     tasks = [(cfg, t) for t in range(cfg.trials)]
     if cfg.workers > 1 and cfg.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_run_trial_star, tasks))
     else:

@@ -9,10 +9,14 @@ module, quoted annotations included. A private name (`_X = ...`, `def _f`,
 `class _C`) or a public definition counts as read when it is loaded as a
 name or an attribute in the package or in `benchmarks/`, which reads
 `scenarios._THRESHOLDS`; reads in tests do not count. A parameter counts as
-read when its name is loaded anywhere in the body.
+read when its name is loaded anywhere in the body. A package module imports
+no third-party package other than numpy at module level: any other (scipy)
+is imported inside the function that needs it, so a run that never calls
+that function never pays for its import.
 """
 
 import ast
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -186,3 +190,35 @@ def _unread_parameters(tree: ast.Module):
 def test_no_unread_parameters(path):
     unread = list(_unread_parameters(ast.parse(path.read_text(encoding="utf-8"))))
     assert not unread, f"{path.name} has parameters its functions never read: {', '.join(unread)}"
+
+
+# numpy serves every run, and the package's own modules are first-party
+_MODULE_LEVEL_IMPORTS_ALLOWED = {"numpy", "shadowtomo"}
+
+
+def _module_level_imports(node: ast.AST):
+    """(top-level package, line) of each import run when the module loads:
+    any outside a function body, class bodies and conditionals included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((alias.name.split(".")[0], child.lineno) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            if child.level == 0:
+                yield child.module.split(".")[0], child.lineno
+        else:
+            yield from _module_level_imports(child)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_third_party_import_but_numpy(path):
+    found = [
+        f"{path.name}:{line} imports {top}"
+        for top, line in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if top not in sys.stdlib_module_names and top not in _MODULE_LEVEL_IMPORTS_ALLOWED
+    ]
+    assert not found, (
+        f"module-level third-party imports other than numpy: {', '.join(found)}; "
+        "import them inside the function that needs them"
+    )

@@ -344,6 +344,49 @@ def test_threshold_diagonal_values_matches_materialized_diagonal():
                 assert np.allclose(fast, dense, atol=1e-10), (q, t, direction)
 
 
+def _direct_diagonal_values(eigenvalues, q, t, direction):
+    """The threshold diagonal's DP run straight, with no memo in between."""
+    e = np.clip(np.asarray(eigenvalues, dtype=np.float64), 0.0, 1.0)
+    d = e.shape[0]
+    probs = e[np.array(list(itertools.product(range(d), repeat=q)))]
+    table = np.zeros((d**q, q + 1))
+    table[:, 0] = 1.0
+    for r in range(q):
+        p = probs[:, r : r + 1]
+        shifted = np.concatenate([np.zeros((d**q, 1)), table[:, :-1]], axis=1)
+        table = table * (1.0 - p) + shifted * p
+    counts = np.arange(q + 1)
+    return table[:, counts >= t if direction == "at_least" else counts <= t].sum(axis=1)
+
+
+def test_threshold_diagonal_memo_returns_the_direct_values_bit_for_bit():
+    # each call is made twice in a row, so the second reads the memo; the
+    # spectra include eigh's rounding just outside [0, 1]
+    spectra = [random_effect(d, substream(12, d)).spectrum.eigenvalues for d in (2, 3, 4)]
+    spectra.append(np.array([-1e-17, 0.25, 1.0 + 2e-16]))
+    for e in spectra:
+        for q in range(1, 6):
+            for direction in DIRECTIONS:
+                lo, hi = (0, q + 1) if direction == "at_least" else (-1, q)
+                for t in range(lo, hi + 1):
+                    want = _direct_diagonal_values(e, q, t, direction)
+                    for _ in range(2):
+                        got = threshold_diagonal_values(e, q, t, direction)
+                        assert got.tobytes() == want.tobytes(), (e, q, t, direction)
+                        with pytest.raises(ValueError):
+                            got[0] = 0.5
+
+
+def test_threshold_diagonal_values_validates_a_repeated_call():
+    e = np.array([0.9, 0.2])
+    assert np.array_equal(
+        threshold_diagonal_values(e, 2, 1, "at_most"), _direct_diagonal_values(e, 2, 1, "at_most")
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            threshold_diagonal_values(e, 2, 1, "above")
+
+
 def test_threshold_acceptance_monotone_in_threshold():
     rng = substream(8, 0)
     base = random_effect(2, rng)
