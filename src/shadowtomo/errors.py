@@ -12,7 +12,9 @@ class DimensionCapError(ShadowTomoError):
         self.requested = requested
         self.limit = limit
         self.what = what
-        super().__init__(f"{what} of dimension {requested} exceeds cap {limit}")
+        # str() of an integer past 4300 digits raises, so a large one is named by its bit length
+        dim = requested if requested < 2**64 else f"at least 2^{requested.bit_length() - 1}"
+        super().__init__(f"{what} of dimension {dim} exceeds cap {limit}")
 
     def __reduce__(self):  # a trial worker sends its error back pickled
         return type(self), (self.requested, self.limit, self.what)

@@ -30,15 +30,6 @@ class Instance:
         object.__setattr__(self, "ground_truth", truth)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with the
-    standard phase fix (diagonal of R normalized positive)."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def haar_isometry(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """n x k matrix with Haar-random orthonormal columns."""
     if not 1 <= k <= n:
@@ -63,7 +54,7 @@ def random_density(d: int, rng: np.random.Generator) -> DensityMatrix:
 
 def random_effect(d: int, rng: np.random.Generator) -> Effect:
     """Random effect: uniform [0,1] spectrum in a Haar-random basis."""
-    u = haar_unitary(d, rng)
+    u = haar_isometry(d, d, rng)
     vals = rng.random(d)
     return Effect((u * vals) @ u.conj().T, atol=CONSTRUCTION_ATOL)
 

@@ -37,7 +37,7 @@ from .errors import (
     ModeUnsupportedError,
     NotPSDError,
 )
-from .modes import FidelityMode
+from .modes import PER_COPY_OR_REASON, FidelityMode
 from .quantum import (
     AnyOf,
     DensityMatrix,
@@ -262,10 +262,7 @@ class PerCopyBatch(CopyBatch):
 
     def _unit_outcomes(self, m: Measurement) -> np.ndarray:
         if isinstance(m, AnyOf):
-            raise ModeUnsupportedError(
-                "per-copy mode cannot simulate an OR round: its gentle collective "
-                "measurement entangles the block, and a per-copy store cannot hold that"
-            )
+            raise ModeUnsupportedError(PER_COPY_OR_REASON)
         leaf_accepts = self._measure_copies(leaf_effect(m), np.arange(self.n_copies))
         return threshold_outcomes(m, leaf_accepts)
 

@@ -44,10 +44,17 @@ refuses    raises ModeUnsupportedError and names the reason.
 (a) as one collective measurement; measure_units refuses an AnyOf.
 (b) the round's gentle collective measurement entangles the block, which a
     per-copy store cannot hold, so orbound, search, shadow and money-demo
-    exit 3 in this mode.
+    are refused at resolve, exit 2.
+The scenario catalog (scenarios.SCENARIOS) holds the per-scenario refusals.
 """
 
 from enum import Enum
+
+PER_COPY_OR_REASON = (
+    "per-copy mode cannot simulate an OR round: its gentle collective "
+    "measurement entangles the block, and a per-copy store cannot hold that"
+)
+GAP_REUSE_REASON = "the promise-gap procedure reuses damaged copies; use per-copy or exact mode"
 
 
 class FidelityMode(str, Enum):

@@ -24,7 +24,7 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class TrialRow:
     m: int
     epsilon: float
     delta: float
-    mode: str
+    mode: str | None
     copies_consumed: int
     copies_predicted: int
     max_error: float

@@ -11,7 +11,7 @@ summary) decide the process exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
@@ -37,7 +37,7 @@ from .instances import (
 )
 from .ledger import CopySource
 from .linalg import trace_distance
-from .modes import FidelityMode
+from .modes import GAP_REUSE_REASON, PER_COPY_OR_REASON, FidelityMode
 from .money import make_wiesner_instance
 from .orbound import OrBoundParams, or_bound_decide, random_order_or_test
 from .quantum import accept_prob, apply_effect, sequential_accept_all
@@ -153,10 +153,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
     """Reject keys the scenario does not read, fill its defaults and
-    validate the result."""
+    validate the result, including a mode the scenario refuses."""
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; valid: {', '.join(SCENARIOS)}")
-    defaults = SCENARIOS[cfg.scenario].defaults
+    scenario = SCENARIOS[cfg.scenario]
+    defaults = scenario.defaults
     unread = [
         repr(file_key(f.name))
         for f in fields(cfg)
@@ -175,18 +176,17 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("seed must be >= 0")
     if out.workers < 1:
         raise ConfigError("workers must be >= 1")
-    try:
-        mode = FidelityMode(out.mode)
-    except ValueError:
-        raise ConfigError(f"unknown fidelity mode {out.mode!r}") from None
+    if out.mode not in (None, *FidelityMode):
+        raise ConfigError(f"unknown fidelity mode {out.mode!r}")
+    reason = scenario.refuses.get(out.mode)
+    if reason is not None:
+        raise ConfigError(f"scenario {out.scenario!r} refuses {out.mode}: {reason}")
     for name in ("epsilon", "delta"):
         v = getattr(out, name)
         if v is not None and not 0.0 < v < 1.0:
             raise ConfigError(f"{name} must be in (0, 1)")
     if out.c is not None and not 0.0 < out.c <= 1.0:
         raise ConfigError("c must be in (0, 1]")
-    if out.scenario == "gap" and mode is FidelityMode.FRESH_COPY_STATISTICAL:
-        raise ConfigError("the gap scenario reuses damaged copies; use per-copy or exact mode")
     if out.qubits is not None and out.qubits < 1:
         raise ConfigError("qubits must be >= 1")
     if out.case is not None and out.case not in ("planted", "all_below", "alternate"):
@@ -203,17 +203,14 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
 # returns (TrialRow, extras dict)
 
 
-def _source(cfg: ScenarioConfig, rho, rng) -> CopySource:
-    return CopySource(rho, FidelityMode(cfg.mode), rng, budget=cfg.budget)
-
-
-def _row(cfg: ScenarioConfig, trial: int, d: int, m: int, *measured) -> TrialRow:
-    """A trial's row: the echoed run fields, the (D, M) it ran at, then the
-    measured copies_consumed, copies_predicted, max_error, success and
-    iterations."""
-    return TrialRow(
-        cfg.scenario, trial, cfg.seed, d, m, cfg.epsilon, cfg.delta, cfg.mode, *measured
-    )
+def _row(
+    cfg: ScenarioConfig, trial: int, source: CopySource | None, d: int, m: int, *measured
+) -> TrialRow:
+    """A trial's row: the echoed run fields, the (D, M) it ran at, the mode
+    of its copy source (None, an empty column, if it builds none), then
+    copies_consumed, copies_predicted, max_error, success and iterations."""
+    mode = None if source is None else source.mode
+    return TrialRow(cfg.scenario, trial, cfg.seed, d, m, cfg.epsilon, cfg.delta, mode, *measured)
 
 
 def _trial_verify_gentle(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
@@ -224,7 +221,7 @@ def _trial_verify_gentle(cfg: ScenarioConfig, trial: int, rng: np.random.Generat
     damage = trace_distance(out.post_state.mat, rho.mat)
     bound = 2.0 * math.sqrt(cfg.epsilon)
     success = damage <= bound and p >= 1.0 - cfg.epsilon
-    row = _row(cfg, trial, cfg.d, 1, 1, 1, damage, success, 1)
+    row = _row(cfg, trial, None, cfg.d, 1, 1, 1, damage, success, 1)
     return row, {"damage_bound": bound, "accept_prob": p}
 
 
@@ -236,7 +233,7 @@ def _trial_verify_union(cfg: ScenarioConfig, trial: int, rng: np.random.Generato
     p_bound = 1.0 - 2.0 * cfg.m * math.sqrt(cfg.epsilon)
     d_bound = 4.0 * math.sqrt(cfg.m * cfg.epsilon)
     success = p_all >= p_bound and damage <= d_bound
-    row = _row(cfg, trial, cfg.d, cfg.m, 1, 1, damage, success, cfg.m)
+    row = _row(cfg, trial, None, cfg.d, cfg.m, 1, 1, damage, success, cfg.m)
     return row, {"all_accept_prob": p_all, "p_bound": p_bound, "damage_bound": d_bound}
 
 
@@ -249,13 +246,13 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
         truth = "case_ii"
     planted = (cfg.planted_value if cfg.planted_value is not None else cfg.c) if truth == "case_i" else None
     inst = or_promise_instance(cfg.d, cfg.m, planted, cfg.low_cap, rng)
-    source = _source(cfg, inst.rho, rng)
+    source = CopySource(inst.rho, cfg.mode, rng, budget=cfg.budget)
     params = OrBoundParams(c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta)
     decision = or_bound_decide(list(inst.effects), source, params)
     predicted = decision.ell * decision.rounds
     success = decision.case == truth
     row = _row(
-        cfg, trial, cfg.d, cfg.m,
+        cfg, trial, source, cfg.d, cfg.m,
         source.ledger.consumed, predicted, 0.0 if success else 1.0, success, decision.rounds,
     )
     extras = {
@@ -269,17 +266,18 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
 
 def _trial_random_order(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = or_promise_instance(cfg.d, cfg.m, cfg.planted_value, cfg.low_cap, rng)
-    source = _source(cfg, inst.rho, rng)
+    source = CopySource(inst.rho, cfg.mode, rng, budget=cfg.budget)
     accepted = random_order_or_test(list(inst.effects), source)
     row = _row(
-        cfg, trial, cfg.d, cfg.m, source.ledger.consumed, 1, 0.0 if accepted else 1.0, accepted, 1
+        cfg, trial, source, cfg.d, cfg.m,
+        source.ledger.consumed, 1, 0.0 if accepted else 1.0, accepted, 1,
     )
     return row, {"accepted": accepted}
 
 
 def _trial_search(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = or_promise_instance(cfg.d, cfg.m, cfg.planted_value, cfg.low_cap, rng)
-    source = _source(cfg, inst.rho, rng)
+    source = CopySource(inst.rho, cfg.mode, rng, budget=cfg.budget)
     sp = SearchParams(c=cfg.c, epsilon=cfg.epsilon, delta=cfg.delta)
     res = gentle_search(list(inst.effects), source, sp)
     bound = search_copy_bound(cfg.m, cfg.epsilon, cfg.delta)
@@ -292,7 +290,7 @@ def _trial_search(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
         success = False
         err = 1.0
     row = _row(
-        cfg, trial, cfg.d, cfg.m,
+        cfg, trial, source, cfg.d, cfg.m,
         res.copies_consumed, int(math.floor(bound)), err, success, len(res.level_bars),
     )
     extras = {
@@ -334,7 +332,7 @@ def _money_params(cfg: ScenarioConfig) -> ShadowParams:
 def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowParams, rng):
     """One shadow run on `inst` at `params`; its copy source continues `rng`,
     the generator the instance was drawn from."""
-    source = _source(cfg, inst.rho, rng)
+    source = CopySource(inst.rho, cfg.mode, rng, budget=cfg.budget)
     extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
     # a search that finds a detector debits exactly q * ell_search copies
     per_search = params.q * params.ell_search
@@ -342,7 +340,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
         run = run_shadow_tomography(list(inst.effects), source, params)
     except IterationBoundExceededError as exc:
         row = _row(
-            cfg, trial, params.d, params.m,
+            cfg, trial, source, params.d, params.m,
             source.ledger.consumed, params.k_pred, 1.0, False, params.t_bound,
         )
         extras.update(
@@ -358,7 +356,7 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     t_ok = run.transcript.t_final <= params.t_bound
     ledger_ok = run.copies_consumed <= params.k_pred
     row = _row(
-        cfg, trial, params.d, params.m,
+        cfg, trial, source, params.d, params.m,
         run.copies_consumed, params.k_pred, err, success, run.transcript.t_final,
     )
     extras.update(
@@ -408,13 +406,14 @@ def _trial_money(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
 
 def _trial_gap(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst, cutoffs = diagonal_gap_instance(cfg.d, cfg.m, cfg.epsilon, rng)
-    source = _source(cfg, inst.rho, rng)
+    source = CopySource(inst.rho, cfg.mode, rng, budget=cfg.budget)
     decisions = run_promise_gap(list(inst.effects), cutoffs, cfg.epsilon, cfg.delta, source)
     sides = inst.metadata["sides"]
     wrong = sum(1 for got, want in zip(decisions, sides) if got != want)
     k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta)
     row = _row(
-        cfg, trial, cfg.d, cfg.m, source.ledger.consumed, k, wrong / cfg.m, wrong == 0, cfg.m
+        cfg, trial, source, cfg.d, cfg.m,
+        source.ledger.consumed, k, wrong / cfg.m, wrong == 0, cfg.m,
     )
     return row, {"wrong_decisions": wrong, "k": k}
 
@@ -428,7 +427,7 @@ def _trial_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     truth = np.array([inst.acceptance(true_index, j) for j in range(cfg.k)])
     err = float(np.max(np.abs(estimates - truth)))
     success = err <= cfg.epsilon
-    row = _row(cfg, trial, cfg.n, cfg.k, k_samples, k_samples, err, success, 1)
+    row = _row(cfg, trial, None, cfg.n, cfg.k, k_samples, k_samples, err, success, 1)
     return row, {"true_index": true_index, "k_samples": k_samples}
 
 
@@ -437,7 +436,8 @@ def _trial_lower_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Gener
     true_index = int(rng.integers(cfg.k))
     guess, correct = identify_index_classical(inst, true_index, cfg.t_samples, rng)
     row = _row(
-        cfg, trial, cfg.n, cfg.k, cfg.t_samples, cfg.t_samples, 0.0 if correct else 1.0, correct, 1
+        cfg, trial, None, cfg.n, cfg.k,
+        cfg.t_samples, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
     )
     return row, {"true_index": true_index, "guess": guess}
 
@@ -445,10 +445,10 @@ def _trial_lower_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Gener
 def _trial_lower_quantum(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = gen_quantum_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
-    source = _source(cfg, inst.sigma(true_index), rng)
+    source = CopySource(inst.sigma(true_index), cfg.mode, rng, budget=cfg.budget)
     guess, correct = identify_index_quantum(inst, true_index, cfg.t_samples, source)
     row = _row(
-        cfg, trial, cfg.n, cfg.k,
+        cfg, trial, source, cfg.n, cfg.k,
         source.ledger.consumed, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
     )
     return row, {"true_index": true_index, "guess": guess}
@@ -458,7 +458,7 @@ def _trial_hlw(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     report = hlw_overlap_experiment(cfg.n, 1, rng)
     overlap = float(report.overlaps[0])
     dev = abs(overlap - 0.5)
-    row = _row(cfg, trial, cfg.n, 1, 1, 1, dev, dev <= cfg.epsilon, 1)
+    row = _row(cfg, trial, None, cfg.n, 1, 1, 1, dev, dev <= cfg.epsilon, 1)
     return row, {"overlap": overlap}
 
 
@@ -552,7 +552,9 @@ class Scenario:
     The keys of `defaults` declare every config key the scenario reads
     besides the run keys (scenario, seed, out_dir, workers), and `resolve`
     rejects any other set key. A default of None marks an optional key,
-    read but left unset unless a config sets it.
+    read but left unset unless a config sets it. Only a scenario whose
+    trials build a CopySource declares `mode` and `budget`; `refuses` maps
+    each mode it cannot run soundly to modes.py's reason for `resolve`.
 
     A record holds only this module's private `_trial_*`, `_check_*` and
     `_*_params` functions; those look up every library call at call time, so
@@ -565,18 +567,19 @@ class Scenario:
     run: Callable[[ScenarioConfig, int, np.random.Generator], tuple[TrialRow, dict]]
     check: Callable[[ScenarioConfig, list[TrialRow], list[dict]], tuple[dict, bool]]
     operating_point: Callable[[ScenarioConfig], ShadowParams] | None = None
+    refuses: dict[FidelityMode, str] = field(default_factory=dict)
 
 
 SCENARIOS: dict[str, Scenario] = {
     "verify-gentle": Scenario(
         "near-certain measurement damage stays below 2 sqrt(eps)",
-        dict(trials=100, mode="exact_tensor", d=4, epsilon=1e-2, delta=0.1),
+        dict(trials=100, d=4, epsilon=1e-2, delta=0.1),
         _trial_verify_gentle,
         _check_verify,
     ),
     "verify-union-bound": Scenario(
         "M sequential near-certain measurements: all-accept and damage bounds",
-        dict(trials=100, mode="exact_tensor", d=4, m=5, epsilon=1e-4, delta=0.1),
+        dict(trials=100, d=4, m=5, epsilon=1e-4, delta=0.1),
         _trial_verify_union,
         _check_verify,
     ),
@@ -588,6 +591,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _trial_orbound,
         _check_orbound,
+        refuses={FidelityMode.PER_COPY_COLLAPSE: PER_COPY_OR_REASON},
     ),
     "random-order-or": Scenario(
         "shuffled sequential OR tester on a planted instance (exploratory)",
@@ -606,6 +610,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _trial_search,
         _check_search,
+        refuses={FidelityMode.PER_COPY_COLLAPSE: PER_COPY_OR_REASON},
     ),
     "shadow": Scenario(
         "full shadow tomography on random projectors, estimates within eps",
@@ -616,6 +621,7 @@ SCENARIOS: dict[str, Scenario] = {
         _trial_shadow,
         _check_shadow,
         _shadow_params,
+        refuses={FidelityMode.PER_COPY_COLLAPSE: PER_COPY_OR_REASON},
     ),
     "gap": Scenario(
         "promise-gap decisions for diagonal instances from one shared copy block",
@@ -625,19 +631,17 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _trial_gap,
         _check_rate_one_minus_delta,
+        refuses={FidelityMode.FRESH_COPY_STATISTICAL: GAP_REUSE_REASON},
     ),
     "classical": Scenario(
         "empirical-mean baseline on the classical hard family",
-        dict(trials=200, mode="fresh_copy_statistical", n=16, k=32, epsilon=0.1, delta=0.1),
+        dict(trials=200, n=16, k=32, epsilon=0.1, delta=0.1),
         _trial_classical,
         _check_rate_one_minus_delta,
     ),
     "lower-classical": Scenario(
         "identification success vs sample count on the classical hard family",
-        dict(
-            trials=50, mode="fresh_copy_statistical", n=16, k=8, epsilon=0.1, delta=0.1,
-            t_samples=500,
-        ),
+        dict(trials=50, n=16, k=8, epsilon=0.1, delta=0.1, t_samples=500),
         _trial_lower_classical,
         _check_exploratory,
     ),
@@ -652,7 +656,7 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "hlw": Scenario(
         "concentration of the random-subspace overlap around 1/2",
-        dict(trials=500, mode="exact_tensor", n=8, epsilon=0.05, delta=0.1),
+        dict(trials=500, n=8, epsilon=0.05, delta=0.1),
         _trial_hlw,
         _check_hlw,
     ),
@@ -665,6 +669,7 @@ SCENARIOS: dict[str, Scenario] = {
         _trial_money,
         _check_shadow,
         _money_params,
+        refuses={FidelityMode.PER_COPY_COLLAPSE: PER_COPY_OR_REASON},
     ),
 }
 

@@ -43,7 +43,7 @@ from .errors import (
     ModeUnsupportedError,
 )
 from .ledger import CopySource
-from .modes import FidelityMode
+from .modes import GAP_REUSE_REASON, FidelityMode
 from .quantum import Effect, Measurement, ThresholdEffect, leaf_effect, threshold_spectrum
 from .search import SearchParams, gentle_search, search_budget
 
@@ -409,9 +409,7 @@ def run_promise_gap(
     Requires a source whose mode tracks collapse across measurements.
     """
     if rho_source.mode is FidelityMode.FRESH_COPY_STATISTICAL:
-        raise ModeUnsupportedError(
-            "the promise-gap procedure reuses damaged copies; use per-copy or exact mode"
-        )
+        raise ModeUnsupportedError(GAP_REUSE_REASON)
     if len(effects) != len(cutoffs):
         raise DimensionMismatchError("need one cutoff per effect")
     if not effects:

@@ -3,6 +3,7 @@ command-line interface."""
 
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import pytest
 from shadowtomo import scenarios, shadow
 from shadowtomo.cli import main
 from shadowtomo.errors import BudgetExhaustedError, ConfigError
+from shadowtomo.modes import GAP_REUSE_REASON, PER_COPY_OR_REASON, FidelityMode
 from shadowtomo.money import make_wiesner_instance
 from shadowtomo.quantum import accept_prob
 from shadowtomo.results import (
@@ -151,11 +153,6 @@ def test_resolve_fills_scenario_defaults():
     assert cfg.mode == "per_copy_collapse"
 
 
-def test_resolve_rejects_gap_in_fresh_mode():
-    with pytest.raises(ConfigError):
-        resolve(build_config({"scenario": "gap", "mode": "fresh_copy_statistical"}))
-
-
 def test_resolve_rejects_unknown_scenario_and_bad_values():
     with pytest.raises(ConfigError):
         resolve(ScenarioConfig(scenario="wibble"))
@@ -222,7 +219,7 @@ def test_cli_rejects_a_key_the_scenario_does_not_read(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error: scenario 'hlw' does not read 'q', 'case', 'budget'" in err
-    assert "it reads trials, mode, N, epsilon, delta" in err
+    assert "it reads trials, N, epsilon, delta" in err
     assert not out.exists()
 
 
@@ -450,8 +447,11 @@ def test_classical_family_failure_exits_3_and_names_the_error(tmp_path, capsys):
         ("orbound", "low_cap=2", "ValueError: low cap must be in [0, 1]"),
         # 2**13 exceeds the pinned dimension cap of 4096
         ("shadow-quick", "q=13", "DimensionCapError: amplified hypothesis of dimension 8192"),
+        # a search block's joint state is 2**38336-dimensional, past the
+        # digits Python prints of an integer
+        ("shadow-quick", "mode=exact_tensor", "DimensionCapError: joint copy state"),
     ],
-    ids=["q=0", "M=0", "N=5", "epsilon=0.2", "low_cap=2", "q=13"],
+    ids=["q=0", "M=0", "N=5", "epsilon=0.2", "low_cap=2", "q=13", "mode=exact_tensor"],
 )
 def test_value_the_scenario_cannot_use_exits_3(config, setting, message, tmp_path, capsys):
     # exit 1 means "thresholds NOT met"; a run that raised on its inputs is not that
@@ -464,17 +464,53 @@ def test_value_the_scenario_cannot_use_exits_3(config, setting, message, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("config", ["orbound", "search", "shadow-quick", "money-demo"])
-def test_per_copy_mode_refuses_an_or_round_and_exits_3(config, tmp_path, capsys):
+REFUSED = [
     # a per-copy store cannot hold the OR round's gentle collective measurement
+    ("orbound", FidelityMode.PER_COPY_COLLAPSE, PER_COPY_OR_REASON),
+    ("search", FidelityMode.PER_COPY_COLLAPSE, PER_COPY_OR_REASON),
+    ("shadow-quick", FidelityMode.PER_COPY_COLLAPSE, PER_COPY_OR_REASON),
+    ("money-demo", FidelityMode.PER_COPY_COLLAPSE, PER_COPY_OR_REASON),
+    # fresh mode draws every measurement anew, so the copies the gap test
+    # reuses would never carry the damage of the earlier decisions
+    ("gap", FidelityMode.FRESH_COPY_STATISTICAL, GAP_REUSE_REASON),
+]
+
+
+@pytest.mark.parametrize("config, mode, reason", REFUSED, ids=[r[0] for r in REFUSED])
+def test_refused_mode_exits_2_before_any_trial(config, mode, reason, tmp_path, capsys):
+    cfg = replace(scenarios.load_config(CONFIGS / f"{config}.cfg"), mode=mode.value)
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        resolve(cfg)
     code = main(
-        ["run", "--config", str(CONFIGS / f"{config}.cfg"), "--set", "mode=per_copy_collapse",
+        ["run", "--config", str(CONFIGS / f"{config}.cfg"), "--set", f"mode={mode}",
          "--set", "trials=1", "--out-dir", str(tmp_path / "out")]
     )
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err
-    assert "error: ModeUnsupportedError: per-copy mode cannot simulate an OR round" in err
-    assert not (tmp_path / "out" / "results.csv").exists()
+    assert f"config error: scenario '{cfg.scenario}' refuses {mode}: {reason}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_catalog_refuses_only_modes_a_source_scenario_could_run():
+    accepted = 0
+    for name, scenario in SCENARIOS.items():
+        # mode and budget are both the copy source's, so they come together
+        assert ("mode" in scenario.defaults) == ("budget" in scenario.defaults), name
+        assert all(isinstance(mode, FidelityMode) for mode in scenario.refuses), name
+        if "mode" not in scenario.defaults:
+            assert not scenario.refuses, name
+            continue
+        assert FidelityMode(scenario.defaults["mode"]) not in scenario.refuses, name
+        for mode in FidelityMode:
+            cfg = ScenarioConfig(scenario=name, mode=mode.value)
+            if mode in scenario.refuses:
+                with pytest.raises(ConfigError, match=re.escape(scenario.refuses[mode])):
+                    resolve(cfg)
+            else:
+                assert resolve(cfg).mode == mode
+                accepted += 1
+    # seven source scenarios in three modes, less the five refused pairs
+    assert accepted == 16
 
 
 def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch):

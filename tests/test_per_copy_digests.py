@@ -32,9 +32,9 @@ GOLDEN = [
 
 CLASSICAL_GOLDEN = [
     ("classical", ["--set", "trials=40"],
-     "37184ccc9b188c0be8e99fc9df61cb092972449d06590741f553374154374673"),
+     "fd199feb8de019d10d101a2e156ac4b01ffc9ccff6053288c1f5ba08e8c1b80f"),
     ("lower-classical", [],
-     "fdedd676420af76f87a158253e38215c174819ee9f03efff89f0979d6f90f213"),
+     "4e5ccb0fa8ce9ddbacf2a88fa6f49aba9fe3e9556611fd6f797f32fa9eab3acd"),
 ]
 
 
