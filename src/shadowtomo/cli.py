@@ -4,8 +4,8 @@
     shadowtomo list-scenarios
     shadowtomo validate-config path
 
-Override precedence, weakest first: config file, SHADOWTOMO_SEED environment
-variable, --set flags (with --out-dir / --workers acting as --set shorthand).
+Override precedence, weakest first: config file, then --set flags (with
+--out-dir / --workers acting as --set shorthand).
 `run` exits 0 only when the scenario's acceptance thresholds are met, 1 when
 they are not, 2 on a config error, and 3 when a run raises: a package error,
 or a ValueError from a value the scenario cannot use.
@@ -14,7 +14,6 @@ or a ValueError from a value the scenario cannot use.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import DEFAULT_CONSTANTS
@@ -28,13 +27,8 @@ from .scenarios import (
     run_scenario,
 )
 
-ENV_SEED = "SHADOWTOMO_SEED"
-
 
 def _apply_overrides(pairs: dict[str, str], args) -> dict[str, str]:
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        pairs["seed"] = env_seed
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")

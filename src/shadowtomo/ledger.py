@@ -17,11 +17,10 @@ the ledger, and every measurement still checks its shape and draws its
 outcomes from the source's generator.
 
 Each batch is the only code that knows how its mode realizes an OR round
-(an AnyOf), and no joint state or probability leaves it; modes.py states
-what each mode does with each measurement kind. A fresh batch draws an
-AnyOf as a leaf or threshold: one uniform per unit against its memoized
-acceptance. An exact batch measures one round per measure_collective call
-and refuses an AnyOf in measure_units; a per-copy batch refuses every AnyOf.
+(an AnyOf), and no state or probability leaves it; modes.py states what
+each mode does with each measurement kind. A fresh batch draws an AnyOf as
+a leaf or threshold: one uniform per unit against its memoized acceptance;
+a per-copy batch refuses every AnyOf.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 
 from .errors import (
     BudgetExhaustedError,
-    DegenerateBranchError,
     DimensionMismatchError,
     ModeUnsupportedError,
     NotPSDError,
@@ -44,14 +42,12 @@ from .quantum import (
     Effect,
     Measurement,
     accept_prob,
-    controlled_or_test,
-    dense_operator,
     leaf_effect,
     threshold_accept_prob,
     threshold_outcomes,
     unit_width,
 )
-from .config import DEGENERATE_BRANCH_PROB, POST_ARITHMETIC_ATOL, PSD_ROOT_ATOL
+from .config import PSD_ROOT_ATOL
 from . import linalg
 
 
@@ -112,9 +108,7 @@ class CopySource:
         self.ledger.debit(n_copies, phase)
         if self.mode is FidelityMode.FRESH_COPY_STATISTICAL:
             return StatisticalBatch(self, n_copies)
-        if self.mode is FidelityMode.PER_COPY_COLLAPSE:
-            return PerCopyBatch(self, n_copies)
-        return ExactBatch(self, n_copies)
+        return PerCopyBatch(self, n_copies)
 
 
 class CopyBatch:
@@ -297,67 +291,3 @@ def _kraus_roots(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k_acc = linalg.hermitize((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vh)
     k_rej = linalg.hermitize((vecs * np.sqrt(np.clip(1.0 - vals, 0.0, None))) @ vh)
     return k_acc, k_rej
-
-
-class ExactBatch(CopyBatch):
-    """exact_tensor: the whole batch is one joint density matrix.
-
-    Every measurement collapses the joint state unit by unit, in unit order,
-    under the unit's dense operator at its copies: the Kraus root of a drawn
-    branch is taken once per measurement, on the unit's space, and applied
-    to the unit's factor of the joint by reshaped matrix products. A
-    collective measurement is one unit spanning the batch, and a count is
-    one unit per copy. An OR round is the control-qubit test
-    (`controlled_or_test`) on the joint state, which it leaves in the test's
-    post state with the control traced out. Dimension-capped."""
-
-    def __init__(self, source: CopySource, n_copies: int):
-        super().__init__(source, n_copies)
-        linalg.check_dense_dim(source.dim**n_copies, "joint copy state")
-        if n_copies == 0:
-            self._joint = np.eye(1, dtype=np.complex128)
-        else:
-            self._joint = linalg.tensor_power(source._true_state.mat, n_copies)
-
-    def measure_collective(self, m: Measurement) -> bool:
-        self._check_collective(m)
-        if isinstance(m, AnyOf):
-            joint = DensityMatrix(self._joint, atol=POST_ARITHMETIC_ATOL)
-            accepted, post = controlled_or_test(list(m.members), joint, self.source.rng)
-            self._joint = post.mat
-            return accepted
-        return bool(self.measure_units(m)[0])
-
-    def measure_units(self, m: Measurement) -> np.ndarray:
-        """Raises NotPSDError as `herm_sqrt` does on a drawn branch's unit
-        operator, and DegenerateBranchError on drawing a branch of
-        probability at most DEGENERATE_BRANCH_PROB."""
-        n_units = self._check_units(m)
-        if isinstance(m, AnyOf):
-            raise ModeUnsupportedError("exact mode measures one OR round per collective call")
-        op = dense_operator(m)
-        span, dim = op.shape[0], self._joint.shape[0]
-        roots: dict[bool, np.ndarray] = {}
-        out = np.empty(n_units, dtype=bool)
-        for u in range(n_units):
-            # unit u acts on the middle factor of C^left ⊗ C^span ⊗ C^right
-            left = span**u
-            right = dim // (left * span)
-            blocks = self._joint.reshape(left, span, right, left, span, right)
-            p = min(1.0, max(0.0, float(np.real(np.einsum("aibajb,ji->", blocks, op)))))
-            accept = bool(self.source.rng.random() < p)
-            out[u] = accept
-            # only a drawn branch takes its root, so only it can lack one
-            if accept not in roots:
-                roots[accept] = linalg.herm_sqrt(op if accept else np.eye(span) - op)
-            k = roots[accept]
-            branch_p = p if accept else 1.0 - p
-            if branch_p <= DEGENERATE_BRANCH_PROB:
-                raise DegenerateBranchError(f"branch probability {branch_p:.3e}")
-            # with K' = I ⊗ K ⊗ I applied to the rows, K' (K' J)† = (K' J K')†,
-            # whose Hermitian part is the collapsed state's
-            t = (k @ self._joint.reshape(left, span, -1)).reshape(dim, dim)
-            t = (k @ t.conj().T.reshape(left, span, -1)).reshape(dim, dim)
-            post = linalg.hermitize(t)
-            self._joint = post / float(np.real(np.trace(post)))
-        return out

@@ -39,10 +39,10 @@ class ValidationReport:
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix."""
+    """Coerce to a non-empty square complex128 matrix."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 

@@ -1,13 +1,6 @@
 """Fidelity modes mediating between idealized collective measurements and
 what a desk-scale simulation can afford to materialize.
 
-exact_tensor
-    Joint states are materialized as dense matrices and every measurement is
-    realized by the canonical two-outcome collapse on the joint, unit by
-    unit in unit order. An OR round is the control-qubit test on the joint
-    state. Every materialized dimension must stay within the dimension cap
-    fixed in config.py.
-
 per_copy_collapse
     Copies are tracked individually. Every measurement collapses each copy
     once, in copy order, under the leaf effect of a (possibly nested)
@@ -30,8 +23,7 @@ each mode does with each measurement kind:
 
                             leaf effect  count      collective   AnyOf
                                                     threshold    (OR round)
-    exact_tensor            sound        sound      sound        sound (a)
-    per_copy_collapse       sound        sound      by design    refuses (b)
+    per_copy_collapse       sound        sound      by design    refuses (a)
     fresh_copy_statistical  by design    by design  by design    by design
 
 sound      outcomes and back-action follow the measurement's law.
@@ -41,11 +33,12 @@ by design  one measurement's outcomes follow its law, but the state later
            each register under its leaf effect, which matches the
            collective back-action only on commuting (diagonal) instances.
 refuses    raises ModeUnsupportedError and names the reason.
-(a) as one collective measurement; measure_units refuses an AnyOf.
-(b) the round's gentle collective measurement entangles the block, which a
+(a) the round's gentle collective measurement entangles the block, which a
     per-copy store cannot hold, so orbound, search, shadow and money-demo
     are refused at resolve, exit 2.
 The scenario catalog (scenarios.SCENARIOS) holds the per-scenario refusals.
+The tests check the sound entries against a dense joint-state reference,
+tests/dense_reference.py, which is not a mode a run can select.
 """
 
 from enum import Enum
@@ -54,11 +47,10 @@ PER_COPY_OR_REASON = (
     "per-copy mode cannot simulate an OR round: its gentle collective "
     "measurement entangles the block, and a per-copy store cannot hold that"
 )
-GAP_REUSE_REASON = "the promise-gap procedure reuses damaged copies; use per-copy or exact mode"
+GAP_REUSE_REASON = "the promise-gap procedure reuses damaged copies; use per-copy mode"
 
 
 class FidelityMode(str, Enum):
-    EXACT_TENSOR = "exact_tensor"
     PER_COPY_COLLAPSE = "per_copy_collapse"
     FRESH_COPY_STATISTICAL = "fresh_copy_statistical"
 

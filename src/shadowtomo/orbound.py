@@ -11,15 +11,16 @@ rounds/16 splits the inner test's worst-case accept rates (>= 1/8 versus
 instances with real margins still decide correctly because the amplified
 tails collapse to 0/1 exponentially.
 
-How a round is realized belongs to the copy batch that measures it (see
-quantum.AnyOf): in exact mode it is the control-qubit test of
-quantum.controlled_or_test, whose completeness/soundness constants the
-decision relies on. No function here takes a fidelity mode: the CopySource
-is built with one. The one mode fact used here is that fresh-mode rounds
-are independent, so a decision dispenses all rounds' blocks as one batch
-and measures the round on every block in one vectorized draw, one draw per
-round at 1 - prod(1 - p_i), the law of applying the members in order on
-independent draws; in exact mode each round gets its own block.
+The cutoff relies on the completeness/soundness constants of the
+control-qubit OR test (Harrow, Lin and Montanaro, arXiv 1607.03236); the
+test's exact acceptance law is kept as a reference in
+tests/dense_reference.py. How a round is realized belongs to the copy batch
+that measures it (see quantum.AnyOf), and no function here takes a
+fidelity mode: the CopySource is built with one. A decision dispenses all
+rounds' blocks as one batch and measures the round on every block with one
+measure_units call; a fresh batch draws it once per round at
+1 - prod(1 - p_i), the law of applying the members in order on independent
+draws, and a per-copy batch refuses it.
 
 The random-order tester draws one copy from a CopySource, shuffles the
 effects and applies them in sequence to that copy, which collapses as far as
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from .config import DEFAULT_CONSTANTS
 from .errors import DimensionMismatchError
 from .ledger import CopySource
-from .modes import FidelityMode
 from .quantum import AnyOf, Measurement, ThresholdEffect, unit_width
 
 
@@ -99,9 +99,9 @@ def or_bound_decide(
 
     Per round a fresh block of ell unit-copies is used and the inner OR test
     runs once on it; `None` entries are padding that never accepts and is
-    never selected. Consumes exactly ell * rounds * unit_width copies. In
-    fresh mode they are dispensed as one batch before the first round, so a
-    budget too small for the whole decision fails before any round runs.
+    never selected. Consumes exactly ell * rounds * unit_width copies,
+    dispensed as one batch before the first round, so a budget too small
+    for the whole decision fails before any round runs.
     """
     live = [m for m in effects if m is not None]
     if not live:
@@ -118,14 +118,8 @@ def or_bound_decide(
     threshold = math.ceil((params.c - params.epsilon / 2.0) * ell - 1e-9)
 
     round_test = AnyOf(tuple(_amplified(m, ell, threshold) for m in live))
-    if rho_source.mode is FidelityMode.FRESH_COPY_STATISTICAL:
-        batch = rho_source.dispense(rounds * ell * w, phase)
-        accept_count = int(batch.measure_units(round_test).sum())
-    else:
-        accept_count = sum(
-            rho_source.dispense(ell * w, phase).measure_collective(round_test)
-            for _ in range(rounds)
-        )
+    batch = rho_source.dispense(rounds * ell * w, phase)
+    accept_count = int(batch.measure_units(round_test).sum())
 
     case = "case_i" if 16 * accept_count >= rounds else "case_ii"
     return OrDecision(case, accept_count, rounds, ell, threshold, ell * w * rounds)

@@ -12,21 +12,13 @@ bound 2·sqrt(eps) holds.
 A ThresholdEffect applies one base measurement independently to each of n
 registers and accepts when the number of accepting registers passes an
 integer cutoff. Thresholds are allowed to sit one step outside [0, n]
-(at_least n+1, at_most -1): those encode the empty acceptance condition and
-materialize to the zero operator. They arise naturally when a refinement
+(at_least n+1, at_most -1): those encode the empty acceptance condition,
+whose accepting operator is zero. They arise naturally when a refinement
 cutoff is pushed past a boundary and must never accept.
 
 An AnyOf is one round of an OR test over several measurements of one unit
 width, as a measurement on one block of copies. How a round is realized is
 the fidelity mode's business (see AnyOf).
-
-The control-qubit OR test (Harrow, Lin and Montanaro, arXiv 1607.03236)
-entangles an ancilla prepared in (|0> + |1>)/sqrt(2) with the state, applies
-each effect conditioned on the ancilla being |1>, and checks the ancilla in
-the +/- basis after each one: a rejected conditional measurement that still
-dephased the ancilla is itself evidence that some effect fires. Its
-completeness/soundness constants are what the amplified OR decision relies
-on; controlled_or_accept_prob computes its exact acceptance for reference.
 """
 
 from __future__ import annotations
@@ -145,9 +137,10 @@ class AnyOf:
     """One OR round over `members` on the same block of copies.
 
     Fresh mode draws the round once at 1 - prod(1 - p_i) over the members'
-    acceptances p_i; exact mode runs the control-qubit test
-    (`controlled_or_test`) on the block's joint state; per-copy mode refuses
-    it (see modes.py).
+    acceptances p_i, the law of applying them in order on independent
+    draws; per-copy mode refuses it (see modes.py). The round it stands for
+    is the control-qubit test, whose exact law is kept as a reference in
+    tests/dense_reference.py.
 
     Every member spans the same number of copies, checked at construction
     and read by `unit_width`.
@@ -283,27 +276,6 @@ def threshold_accept_prob(m: Measurement, leaf_value: float) -> float:
     return binomial_tail(m.registers, inner, m.threshold, m.direction)
 
 
-def materialize_threshold(te: ThresholdEffect) -> Effect:
-    """Dense operator of a threshold effect: its spectrum conjugated into the
-    leaf eigenbasis, register by register, as U^{⊗w} (U^{⊗w} diag(values))†.
-
-    The operator is checked for Hermiticity, and its spectrum is checked
-    from the values it was built from."""
-    values, u = threshold_spectrum(te)
-    d, w = u.shape[0], te.width
-    half = linalg.conjugate_each_register(np.diag(values), u, d, w)
-    op = linalg.conjugate_each_register(half.conj().T, u, d, w)
-    return Effect(op, atol=POST_ARITHMETIC_ATOL, eigenvalues=values)
-
-
-def dense_operator(m: Measurement) -> np.ndarray:
-    """Accepting operator of `m` as a dense matrix; a threshold is
-    materialized under the dimension cap."""
-    if isinstance(m, Effect):
-        return np.asarray(m.mat)
-    return np.asarray(materialize_threshold(m).mat)
-
-
 def threshold_outcomes(m: Measurement, leaf_accepts: np.ndarray) -> np.ndarray:
     """Outcome of `m` on each consecutive unit of copies, given the leaf
     effect's outcome on every copy in order.
@@ -395,73 +367,3 @@ def threshold_spectrum(m: Measurement) -> tuple[np.ndarray, np.ndarray]:
     values, u = threshold_spectrum(m.base)
     linalg.check_dense_dim(values.shape[0] ** m.registers, "threshold spectrum")
     return threshold_diagonal_values(values, m.registers, m.threshold, m.direction), u
-
-
-_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
-_ONE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-
-
-def _conditional_ops(effects: list[Measurement], dim: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each effect conditioned on the control being |1>, and the projector
-    onto the control's |+> state, all on the control-extended space."""
-    linalg.check_dense_dim(2 * dim, "control-extended state")
-    ops = []
-    for m in effects:
-        op = dense_operator(m)
-        if op.shape[0] != dim:
-            raise DimensionMismatchError("effect dimension does not match the state")
-        ops.append(np.kron(_ONE, op))
-    return ops, np.kron(_PLUS, np.eye(dim))
-
-
-def controlled_or_test(
-    effects: list[Measurement], rho: DensityMatrix, rng: np.random.Generator
-) -> tuple[bool, DensityMatrix]:
-    """Single-copy OR test with a control qubit; returns (accepted, post
-    state of the register with the control traced out).
-
-    Accepts when some conditional measurement accepts or a +/- check after
-    it finds the control decohered.
-    """
-    dim = rho.dim
-    ops, plus_proj = _conditional_ops(effects, dim)
-    state = np.kron(_PLUS, rho.mat)
-    accepted = False
-    for a in ops:
-        p_acc = min(1.0, max(0.0, float(np.real(np.trace(a @ state)))))
-        if rng.random() < p_acc:
-            _, state = collapse(state, a, True)
-            accepted = True
-            break
-        _, state = collapse(state, a, False)
-        p_plus = min(1.0, max(0.0, float(np.real(np.trace(plus_proj @ state)))))
-        if rng.random() >= p_plus:
-            _, state = collapse(state, np.eye(2 * dim) - plus_proj, True)
-            accepted = True
-            break
-        _, state = collapse(state, plus_proj, True)
-
-    post = DensityMatrix(_trace_out_control(state, dim), atol=1e-6)
-    return accepted, post
-
-
-def controlled_or_accept_prob(effects: list[Measurement], rho: DensityMatrix) -> float:
-    """Exact acceptance probability of controlled_or_test, the reference its
-    sampled outcomes are checked against.
-
-    Unnormalized survival walk: reject every conditional measurement and
-    observe + at every control check. Acceptance = 1 - final trace.
-    """
-    dim = rho.dim
-    ops, plus_proj = _conditional_ops(effects, dim)
-    surv = np.kron(_PLUS, rho.mat)
-    for a in ops:
-        k = linalg.herm_sqrt(np.eye(2 * dim) - a)
-        surv = k @ surv @ k
-        surv = plus_proj @ surv @ plus_proj
-    return min(1.0, max(0.0, 1.0 - float(np.real(np.trace(surv)))))
-
-
-def _trace_out_control(joint: np.ndarray, dim: int) -> np.ndarray:
-    t = joint.reshape(2, dim, 2, dim)
-    return np.einsum("aiaj->ij", t)

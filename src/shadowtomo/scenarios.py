@@ -177,7 +177,9 @@ def resolve(cfg: ScenarioConfig) -> ScenarioConfig:
     if out.workers < 1:
         raise ConfigError("workers must be >= 1")
     if out.mode not in (None, *FidelityMode):
-        raise ConfigError(f"unknown fidelity mode {out.mode!r}")
+        raise ConfigError(
+            f"unknown fidelity mode {out.mode!r}; valid: {', '.join(FidelityMode)}"
+        )
     reason = scenario.refuses.get(out.mode)
     if reason is not None:
         raise ConfigError(f"scenario {out.scenario!r} refuses {out.mode}: {reason}")
@@ -368,8 +370,6 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
             "ledger_ok": ledger_ok,
             "exact_consumption": _exact_consumption(run, per_search, params.m),
             "final_p": run.final_p,
-            "p_floor": 0.9 / params.d**params.q,
-            "p_floor_ok": run.final_p >= 0.9 / params.d**params.q,
         }
     )
     return row, extras

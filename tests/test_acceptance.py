@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from dense_reference import controlled_or_accept_prob, materialize_threshold
 from shadowtomo.config import DEFAULT_CONSTANTS
 from shadowtomo.hardness import (
     entropy_report,
@@ -28,8 +29,6 @@ from shadowtomo.quantum import (
     accept_prob,
     apply_effect,
     binomial_tail,
-    controlled_or_accept_prob,
-    materialize_threshold,
     sequential_accept_all,
 )
 from shadowtomo.rng import substream

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shadowtomo import scenarios, shadow
+from shadowtomo import modes, scenarios, shadow
 from shadowtomo.cli import main
 from shadowtomo.errors import BudgetExhaustedError, ConfigError
 from shadowtomo.modes import GAP_REUSE_REASON, PER_COPY_OR_REASON, FidelityMode
@@ -130,10 +130,12 @@ def test_build_config_maps_uppercase_dimension_names():
 
 
 def test_build_config_parses_each_field_to_its_type():
-    cfg = build_config({"scenario": "gap", "trials": "7", "epsilon": "0.25", "mode": "exact_tensor"})
+    cfg = build_config(
+        {"scenario": "gap", "trials": "7", "epsilon": "0.25", "mode": "per_copy_collapse"}
+    )
     assert cfg.trials == 7 and type(cfg.trials) is int
     assert cfg.epsilon == 0.25 and type(cfg.epsilon) is float
-    assert cfg.mode == "exact_tensor" and type(cfg.mode) is str
+    assert cfg.mode == "per_copy_collapse" and type(cfg.mode) is str
 
 
 def test_build_config_rejects_bad_int():
@@ -164,7 +166,7 @@ def test_resolve_rejects_unknown_scenario_and_bad_values():
 
 # a valid value for every scenario key, for the keys a scenario leaves unset
 _SAMPLE = dict(
-    trials=1, mode="exact_tensor", d=2, m=2, n=4, k=4, qubits=1, epsilon=0.1, delta=0.1,
+    trials=1, mode="per_copy_collapse", d=2, m=2, n=4, k=4, qubits=1, epsilon=0.1, delta=0.1,
     c=0.9, q=2, t_samples=3, case="planted", planted_value=0.9, low_cap=0.1, budget=10,
 )
 
@@ -377,21 +379,15 @@ def test_cli_run_writes_outputs_and_exit_status(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-def test_cli_set_overrides_and_env_seed(tmp_path, monkeypatch):
+def test_cli_set_overrides_and_env_seed(tmp_path):
+    # --set is the one override of the config's seed; no environment
+    # variable sets it
     p = tmp_path / "c.cfg"
     p.write_text("scenario = hlw\ntrials = 5\nseed = 1\n")
-    out = tmp_path / "env"
-    monkeypatch.setenv("SHADOWTOMO_SEED", "42")
-    assert main(["run", "--config", str(p), "--out-dir", str(out)]) == 0
+    out = tmp_path / "set"
+    assert main(["run", "--config", str(p), "--set", "seed=7", "--out-dir", str(out)]) == 0
     rows = (out / "results.csv").read_text().strip().split("\n")
-    assert rows[1].split(",")[2] == "42"  # env seed applied
-
-    out2 = tmp_path / "set"
-    assert (
-        main(["run", "--config", str(p), "--set", "seed=7", "--out-dir", str(out2)]) == 0
-    )
-    rows2 = (out2 / "results.csv").read_text().strip().split("\n")
-    assert rows2[1].split(",")[2] == "7"  # --set beats the env variable
+    assert rows[1].split(",")[2] == "7"
 
 
 def test_cli_rerun_byte_identical(tmp_path):
@@ -447,11 +443,20 @@ def test_classical_family_failure_exits_3_and_names_the_error(tmp_path, capsys):
         ("orbound", "low_cap=2", "ValueError: low cap must be in [0, 1]"),
         # 2**13 exceeds the pinned dimension cap of 4096
         ("shadow-quick", "q=13", "DimensionCapError: amplified hypothesis of dimension 8192"),
-        # a search block's joint state is 2**38336-dimensional, past the
-        # digits Python prints of an integer
-        ("shadow-quick", "mode=exact_tensor", "DimensionCapError: joint copy state"),
+        # 2**20000 is past the digits Python prints of an integer
+        (
+            "shadow-quick", "q=20000",
+            "DimensionCapError: amplified hypothesis of dimension at least 2^20000",
+        ),
+        # a state on no dimension is not a matrix the package can hold
+        ("verify-gentle", "D=0", "DimensionMismatchError: expected a non-empty square matrix"),
+        ("orbound", "D=0", "DimensionMismatchError: expected a non-empty square matrix"),
+        ("gap", "D=0", "DimensionMismatchError: expected a non-empty square matrix"),
     ],
-    ids=["q=0", "M=0", "N=5", "epsilon=0.2", "low_cap=2", "q=13", "mode=exact_tensor"],
+    ids=[
+        "q=0", "M=0", "N=5", "epsilon=0.2", "low_cap=2", "q=13", "q=20000",
+        "verify-gentle-D=0", "orbound-D=0", "gap-D=0",
+    ],
 )
 def test_value_the_scenario_cannot_use_exits_3(config, setting, message, tmp_path, capsys):
     # exit 1 means "thresholds NOT met"; a run that raised on its inputs is not that
@@ -509,8 +514,28 @@ def test_catalog_refuses_only_modes_a_source_scenario_could_run():
             else:
                 assert resolve(cfg).mode == mode
                 accepted += 1
-    # seven source scenarios in three modes, less the five refused pairs
-    assert accepted == 16
+    # seven source scenarios in two modes, less the five refused pairs
+    assert accepted == 9
+
+
+def test_unknown_mode_exits_2_and_names_the_valid_modes(tmp_path, capsys):
+    # the dense joint-state realization is a test reference, not a mode
+    code = main(
+        ["run", "--config", str(CONFIGS / "shadow-quick.cfg"), "--set", "mode=exact_tensor",
+         "--set", "trials=1", "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown fidelity mode 'exact_tensor'; valid: " in err
+    assert all(mode.value in err for mode in FidelityMode)
+    assert not (tmp_path / "out").exists()
+
+
+def test_capability_table_lists_exactly_the_fidelity_modes():
+    # the table's rows are the indented lines that start with a mode-like
+    # name; a mode added to or removed from the enum must show in it
+    rows = re.findall(r"^ {4}([a-z]+(?:_[a-z]+)+) ", modes.__doc__, flags=re.MULTILINE)
+    assert rows == [mode.value for mode in FidelityMode]
 
 
 def test_iteration_bound_failure_names_its_reason(tmp_path, capsys, monkeypatch):

@@ -126,7 +126,6 @@ def _public_definitions(tree: ast.Module) -> dict[str, int]:
 
 # Public names only tests read, each kept for its reason.
 _TEST_ONLY_PUBLIC = {
-    "controlled_or_accept_prob": "the exact acceptance controlled_or_test is checked against",
     "entropy_report": "the per-sample information bound a Fano-ceiling gate is to read",
 }
 

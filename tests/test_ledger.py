@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
+from dense_reference import DenseBatch, materialize_threshold
 from shadowtomo import ledger, linalg
 from shadowtomo.errors import (
     BudgetExhaustedError,
@@ -17,12 +18,10 @@ from shadowtomo.errors import (
     NotPSDError,
 )
 from shadowtomo.instances import random_density, random_effect, random_projector
-from shadowtomo.config import POST_ARITHMETIC_ATOL
 from shadowtomo.ledger import (
     CopyBatch,
     CopyLedger,
     CopySource,
-    ExactBatch,
     PerCopyBatch,
     StatisticalBatch,
     _compact,
@@ -36,9 +35,7 @@ from shadowtomo.quantum import (
     ThresholdEffect,
     accept_prob,
     collapse,
-    controlled_or_test,
     leaf_effect,
-    materialize_threshold,
     threshold_accept_prob,
     unit_width,
 )
@@ -83,7 +80,6 @@ def test_source_dispense_debits_and_batches_by_mode():
     for mode, cls in [
         (FidelityMode.FRESH_COPY_STATISTICAL, StatisticalBatch),
         (FidelityMode.PER_COPY_COLLAPSE, PerCopyBatch),
-        (FidelityMode.EXACT_TENSOR, ExactBatch),
     ]:
         src = CopySource(mixed_state(), mode, substream(0, 0))
         batch = src.dispense(5, "phase")
@@ -100,7 +96,7 @@ def test_source_dispense_zero_is_fine():
 
 
 def test_source_properties():
-    src = CopySource(mixed_state(4), FidelityMode.EXACT_TENSOR, substream(1, 0))
+    src = CopySource(mixed_state(4), FidelityMode.PER_COPY_COLLAPSE, substream(1, 0))
     assert src.dim == 4
 
 
@@ -221,7 +217,8 @@ def test_statistical_memo_draws_match_unmemoized_reference(seed, specs, steps):
 
 # Reference realizations the batches must reproduce draw for draw: per-copy
 # mode walking a nested threshold recursively, one copy per kernel call, and
-# exact mode with a dense collapse loop of its own for each batch method.
+# the dense reference batch with a dense collapse loop of its own for each
+# batch method.
 
 
 def _ref_nested(batch, m, idx):
@@ -332,8 +329,8 @@ def test_per_copy_outcomes_and_states_match_copy_by_copy_walk(d, data):
 def test_exact_outcomes_and_joint_match_dense_loop(d, data):
     rho, n, steps = _draw_schedule(data, d, max_copies=5 if d == 2 else 3)
     seed = data.draw(st.integers(0, 2**16))
-    batch = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(seed, 1)).dispense(n, "x")
-    ref = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(seed, 1)).dispense(n, "x")
+    batch = DenseBatch(rho, n, substream(seed, 1))
+    ref = DenseBatch(rho, n, substream(seed, 1))
     for op, m in steps:
         got = getattr(batch, "measure_" + op)(m)
         want = _ref_exact(ref, op, m)
@@ -346,9 +343,14 @@ def test_exact_outcomes_and_joint_match_dense_loop(d, data):
 
 
 @pytest.mark.parametrize("op", ["collective", "units", "count"])
-@pytest.mark.parametrize("mode", list(FidelityMode))
+@pytest.mark.parametrize("mode", [*FidelityMode, "exact_tensor"])
 def test_wrong_dimension_effect_is_rejected(mode, op):
-    batch = CopySource(mixed_state(2), mode, substream(10, 0)).dispense(2, "x")
+    # "exact_tensor" is the dense reference batch, which checks shapes as
+    # every batch of a fidelity mode does
+    if mode == "exact_tensor":
+        batch = DenseBatch(mixed_state(2), 2, substream(10, 0))
+    else:
+        batch = CopySource(mixed_state(2), mode, substream(10, 0)).dispense(2, "x")
     e = Effect(np.eye(3, dtype=complex))
     m = ThresholdEffect(e, 2, 1, "at_least") if op == "collective" else e
     with pytest.raises(DimensionMismatchError):
@@ -356,8 +358,8 @@ def test_wrong_dimension_effect_is_rejected(mode, op):
 
 
 def test_exact_batch_collective_probability_is_exact():
-    # measure_collective on an exact batch samples from the true joint law;
-    # repeated fresh batches estimate it consistently
+    # measure_collective on a dense reference batch samples from the true
+    # joint law; repeated fresh batches estimate it consistently
     rng = substream(8, 0)
     rho = random_density(2, rng)
     e = random_projector(2, 1, rng)
@@ -365,17 +367,16 @@ def test_exact_batch_collective_probability_is_exact():
     p_true = threshold_accept_prob(te, accept_prob(e, rho))
     hits = 0
     n = 800
-    src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(8, 1))
+    rng = substream(8, 1)
     for _ in range(n):
-        batch = src.dispense(2, "x")
+        batch = DenseBatch(rho, 2, rng)
         if batch.measure_collective(te):
             hits += 1
     assert abs(hits / n - p_true) < 0.06
 
 
 def test_exact_batch_zero_copies_guard():
-    src = CopySource(mixed_state(), FidelityMode.EXACT_TENSOR, substream(9, 0))
-    batch = src.dispense(0, "x")
+    batch = DenseBatch(mixed_state(), 0, substream(9, 0))
     assert batch.n_copies == 0
 
 
@@ -390,28 +391,26 @@ class _ZeroUniforms:
         return 0.0
 
 
-def _zero_uniform_source(diag):
-    rho = DensityMatrix(np.diag(diag).astype(complex))
-    src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(12, 0))
-    src.rng = _ZeroUniforms()
-    return src
+def _zero_uniform_batch(diag):
+    """A dense batch of two copies of diag(diag) drawing from _ZeroUniforms."""
+    return DenseBatch(DensityMatrix(np.diag(diag).astype(complex)), 2, _ZeroUniforms())
 
 
 def test_exact_batch_raises_on_a_degenerate_branch_or_a_non_effect():
     # each error comes after the uniform that drew the branch, as in `collapse`
-    src = _zero_uniform_source([1.0, 0.0])
+    batch = _zero_uniform_batch([1.0, 0.0])
     with pytest.raises(DegenerateBranchError):
-        src.dispense(2, "x").measure_units(Effect(np.diag([1e-14, 1.0]).astype(complex)))
-    assert src.rng.draws == 1
+        batch.measure_units(Effect(np.diag([1e-14, 1.0]).astype(complex)))
+    assert batch.source.rng.draws == 1
     # an eigenvalue below -PSD_ROOT_ATOL leaves sqrt(E) undefined; sqrt(I - E)
     # exists, so only drawing the accept branch raises
     loose = Effect(np.diag([-1e-4, 0.5]).astype(complex), atol=1e-3)
-    src = _zero_uniform_source([1.0, 0.0])
-    np.testing.assert_array_equal(src.dispense(2, "x").measure_units(loose), [False, False])
-    src = _zero_uniform_source([0.0, 1.0])
+    batch = _zero_uniform_batch([1.0, 0.0])
+    np.testing.assert_array_equal(batch.measure_units(loose), [False, False])
+    batch = _zero_uniform_batch([0.0, 1.0])
     with pytest.raises(NotPSDError):
-        src.dispense(2, "x").measure_units(loose)
-    assert src.rng.draws == 1
+        batch.measure_units(loose)
+    assert batch.source.rng.draws == 1
 
 
 # The stacked kernel against the kernel it replaced: per copy, a two-branch
@@ -550,7 +549,8 @@ def test_per_copy_batch_of_zero_copies_measures_nothing(d):
 @pytest.mark.parametrize("n_copies", [2, 3])
 def test_per_copy_and_exact_agree_in_law_on_diagonal_instances(n_copies):
     # Diagonal states and effects commute, so per-copy collapse is exact:
-    # both modes must give the same joint law of the recorded outcomes. The
+    # per-copy mode and the dense reference must give the same joint law of
+    # the recorded outcomes. The
     # effects are near-projectors, so repeated measurements of one copy are
     # strongly correlated and a mode that skipped the collapse would show.
     # Outcome-tuple counts over a fixed set of seeds go into a chi-square
@@ -567,10 +567,15 @@ def test_per_copy_and_exact_agree_in_law_on_diagonal_instances(n_copies):
     ]
     trials = 600
     counts = {}
-    for col, mode in enumerate((FidelityMode.PER_COPY_COLLAPSE, FidelityMode.EXACT_TENSOR)):
-        src = CopySource(rho, mode, substream(31, n_copies))
+    per_copy = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(31, n_copies))
+    dense_rng = substream(31, n_copies)
+    dispensers = (
+        lambda: per_copy.dispense(n_copies, "x"),
+        lambda: DenseBatch(rho, n_copies, dense_rng),
+    )
+    for col, dispense in enumerate(dispensers):
         for _ in range(trials):
-            batch = src.dispense(n_copies, "x")
+            batch = dispense()
             key = tuple(int(getattr(batch, "measure_" + op)(m)) for op, m in schedule)
             counts.setdefault(key, [0, 0])[col] += 1
     table = np.array(sorted(counts.values(), key=sum))
@@ -583,23 +588,21 @@ def test_per_copy_and_exact_agree_in_law_on_diagonal_instances(n_copies):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_per_copy_and_exact_agree_draw_for_draw_on_one_copy(d):
     # sequential measurements on one copy, as random-order-or makes them, are
-    # sound in both modes even when nothing commutes: on the same substream
-    # both draw the same outcomes and leave the same post state
+    # sound in per-copy mode even when nothing commutes: on the same
+    # substream it draws the same outcomes as the dense reference and leaves
+    # the same post state
     for seed in range(40):
         rng = substream(seed, d)
         rho = random_density(d, rng)
         effects = [random_effect(d, rng) for _ in range(6)]
-        runs = []
-        for mode in (FidelityMode.PER_COPY_COLLAPSE, FidelityMode.EXACT_TENSOR):
-            src = CopySource(rho, mode, substream(seed, 100 + d))
-            batch = src.dispense(1, "x")
-            outcomes = [batch.measure_collective(e) for e in effects]
-            post = batch._distinct[0] if mode is FidelityMode.PER_COPY_COLLAPSE else batch._joint
-            runs.append((outcomes, post, src.rng.random()))
-        (got, got_post, got_next), (want, want_post, want_next) = runs
-        assert got == want
-        np.testing.assert_allclose(got_post, want_post, rtol=0, atol=1e-12)
-        assert got_next == want_next  # both generators end at the same point
+        per_copy = CopySource(rho, FidelityMode.PER_COPY_COLLAPSE, substream(seed, 100 + d))
+        got, want = per_copy.dispense(1, "x"), DenseBatch(rho, 1, substream(seed, 100 + d))
+        assert [got.measure_collective(e) for e in effects] == [
+            want.measure_collective(e) for e in effects
+        ]
+        np.testing.assert_allclose(got._distinct[0], want._joint, rtol=0, atol=1e-12)
+        # both generators end at the same point
+        assert got.source.rng.random() == want.source.rng.random()
 
 
 _DISPENSE = st.tuples(st.integers(0, 6), st.sampled_from(("a", "b", "c/d")))
@@ -707,32 +710,6 @@ def test_fresh_any_of_accepts_as_often_as_the_round_by_round_loop(seed, probs):
     assert abs(batch - loop) <= 5.0 * math.sqrt(2.0) * sigma
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_exact_any_of_is_the_control_qubit_test_on_the_joint(n, rounds, data):
-    # repeated rounds on one block: each starts from the last one's post state
-    seed = data.draw(st.integers(0, 2**16))
-    rng = substream(seed, 0)
-    rho = random_density(2, rng)
-    leaves = [random_effect(2, rng) for _ in range(3)]
-    specs = data.draw(
-        st.lists(st.tuples(st.integers(0, 2), st.integers(0, n + 1)), min_size=1, max_size=4)
-    )
-    any_of = AnyOf(tuple(ThresholdEffect(leaves[i], n, t, "at_least") for i, t in specs))
-    batch = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(seed, 1)).dispense(n, "x")
-    ref_rng = substream(seed, 1)
-    joint = linalg.tensor_power(rho.mat, n)
-    for _ in range(rounds):
-        got = batch.measure_collective(any_of)
-        want, post = controlled_or_test(
-            list(any_of.members), DensityMatrix(joint, atol=POST_ARITHMETIC_ATOL), ref_rng
-        )
-        joint = post.mat
-        assert type(got) is bool and got == want
-        assert batch._joint.tobytes() == joint.tobytes()
-    assert batch.source.rng.random() == ref_rng.random()
-
-
 def test_fresh_source_computes_each_leaf_acceptance_once(monkeypatch):
     # a full search over the 2M deviation detectors of M effects, as shadow
     # tomography builds them: both detectors of an effect, and every
@@ -772,11 +749,9 @@ def test_any_of_needs_members_of_one_width_and_fresh_mode():
     assert fresh.dispense(0, "x").measure_units(any_of).shape == (0,)
     certain = AnyOf((e, Effect(np.eye(2, dtype=complex))))
     assert fresh.dispense(1, "x").measure_collective(certain)
-    for mode in (FidelityMode.PER_COPY_COLLAPSE, FidelityMode.EXACT_TENSOR):
-        batch = CopySource(mixed_state(), mode, substream(0, 0)).dispense(1, "x")
-        with pytest.raises(ModeUnsupportedError):
-            batch.measure_units(any_of)
     # a per-copy store cannot hold the round's entangled collective measurement
     per_copy = CopySource(mixed_state(), FidelityMode.PER_COPY_COLLAPSE, substream(0, 0))
+    with pytest.raises(ModeUnsupportedError, match="per-copy store cannot hold"):
+        per_copy.dispense(1, "x").measure_units(any_of)
     with pytest.raises(ModeUnsupportedError, match="per-copy store cannot hold"):
         per_copy.dispense(1, "x").measure_collective(any_of)

@@ -1,24 +1,23 @@
 """Tests for the single-copy OR testers and the amplified decision."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from shadowtomo import ledger
+from dense_reference import controlled_or_accept_prob, materialize_threshold
+from shadowtomo.errors import ModeUnsupportedError
 from shadowtomo.instances import or_promise_instance, random_density, random_effect
 from shadowtomo.ledger import CopySource
 from shadowtomo.linalg import tensor_power
-from shadowtomo.modes import FidelityMode
+from shadowtomo.modes import PER_COPY_OR_REASON, FidelityMode
 from shadowtomo.orbound import OrBoundParams, or_bound_decide, random_order_or_test
 from shadowtomo.quantum import (
     DensityMatrix,
     Effect,
     ThresholdEffect,
     accept_prob,
-    controlled_or_accept_prob,
-    controlled_or_test,
-    materialize_threshold,
 )
 from shadowtomo.rng import substream
 
@@ -56,23 +55,6 @@ def test_controlled_or_all_zero_effects_never_accepts():
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     effects = [zero_effect(2), zero_effect(2)]
     assert controlled_or_accept_prob(effects, rho) == 0.0
-    accepted, _ = controlled_or_test(effects, rho, substream(1, 0))
-    assert not accepted
-
-
-def test_controlled_or_monte_carlo_matches_exact_prob():
-    rng = substream(3, 0)
-    rho = random_density(2, rng)
-    effects = [random_effect(2, rng) for _ in range(3)]
-    exact = controlled_or_accept_prob(effects, rho)
-    runs = 2000
-    hits = 0
-    for i in range(runs):
-        accepted, _ = controlled_or_test(effects, rho, substream(3, i + 2))
-        hits += accepted
-    freq = hits / runs
-    sigma = math.sqrt(exact * (1.0 - exact) / runs)
-    assert abs(freq - exact) <= 3.0 * sigma + 1e-9
 
 
 def test_controlled_or_acceptance_bounds_on_random_instances():
@@ -126,24 +108,23 @@ def test_or_bound_decide_consumes_exactly_ell_times_rounds():
     assert src.ledger.consumed == ell * rounds
 
 
-def test_or_bound_decide_exact_mode_runs_the_control_qubit_round(monkeypatch):
-    rounds_run = []
-
-    def spy(effects, rho, rng):
-        rounds_run.append(rho.dim)
-        return controlled_or_test(effects, rho, rng)
-
-    monkeypatch.setattr(ledger, "controlled_or_test", spy)
-    # at M=2: ell = ceil(4 ln 2) = 3 and rounds = ceil(48 ln(1/0.85)) = 8
-    params = OrBoundParams(c=1.0, epsilon=1.0, delta=0.85)
-    rho = random_density(2, substream(15, 0))
-    src = CopySource(rho, FidelityMode.EXACT_TENSOR, substream(15, 1))
-    decision = or_bound_decide([zero_effect(2), zero_effect(2)], src, params)
-    assert decision.case == "case_ii"
-    assert decision.accept_count == 0
-    assert src.ledger.consumed == 3 * 8
-    # one control-qubit test per round, each on the joint block of ell copies
-    assert rounds_run == [2**3] * 8
+def test_or_bound_decide_dispenses_all_rounds_as_one_batch(monkeypatch):
+    dispensed = []
+    real = CopySource.dispense
+    monkeypatch.setattr(
+        CopySource, "dispense", lambda src, n, phase: dispensed.append(n) or real(src, n, phase)
+    )
+    inst = or_promise_instance(2, 4, 0.95, 0.3, substream(16, 0))
+    params = OrBoundParams(c=0.9, epsilon=0.5, delta=0.1)
+    ell, rounds = params.derived_ell(4), params.derived_rounds()
+    fresh = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(16, 1))
+    or_bound_decide(list(inst.effects), fresh, params)
+    assert dispensed == [rounds * ell]
+    # a per-copy batch refuses the round it was dispensed for
+    per_copy = CopySource(inst.rho, FidelityMode.PER_COPY_COLLAPSE, substream(16, 1))
+    with pytest.raises(ModeUnsupportedError, match=re.escape(PER_COPY_OR_REASON)):
+        or_bound_decide(list(inst.effects), per_copy, params)
+    assert dispensed == [rounds * ell] * 2
 
 
 def test_or_bound_decide_planted_and_all_below():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from dense_reference import materialize_threshold
 from shadowtomo import linalg, quantum
 from shadowtomo.errors import DegenerateBranchError, DimensionMismatchError
 from shadowtomo.instances import random_density, random_effect
@@ -21,7 +22,6 @@ from shadowtomo.quantum import (
     binomial_tail,
     collapse,
     leaf_effect,
-    materialize_threshold,
     sequential_accept_all,
     threshold_accept_prob,
     threshold_diagonal_values,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import materialize_threshold
 from shadowtomo import linalg
 from shadowtomo.config import DEFAULT_CONSTANTS, DEGENERATE_BRANCH_PROB
 from shadowtomo.errors import (
@@ -28,7 +29,6 @@ from shadowtomo.quantum import (
     DensityMatrix,
     Effect,
     ThresholdEffect,
-    materialize_threshold,
     threshold_diagonal_values,
     threshold_spectrum,
 )
