@@ -15,7 +15,10 @@ swaps until every pairwise intersection fits; the subspace family is
 rejection-sampled, each Haar candidate kept only if it satisfies the overlap
 constraint against everything already kept. Both share one attempt limit.
 Any family satisfying the constraints witnesses the construction, so the
-sampling order carries no correctness weight.
+sampling order carries no correctness weight. The repair's draw order is
+still fixed, since pinned digests depend on it, and each move scores all of
+a row's single swaps from a count decomposition, one small weighted product
+of the membership matrix, rather than from an intersection vector per swap.
 """
 
 from __future__ import annotations
@@ -72,10 +75,6 @@ class QuantumHardInstance:
         ) * self.projectors[i]
         return DensityMatrix(m, atol=CONSTRUCTION_ATOL)
 
-    def acceptance(self, i: int, j: int) -> float:
-        """Tr(P_j sigma_i)."""
-        return float(np.real(np.trace(self.projectors[j] @ np.asarray(self.sigma(i).mat))))
-
 
 # Moves without a new best conflict total before the picked row is redrawn
 # instead of swapped; min-conflicts descent alone stalls on plateaus.
@@ -92,6 +91,29 @@ def _sample_subset_family(n: int, k: int, rng: np.random.Generator) -> np.ndarra
     a new best total, the move redraws the row instead. Every drawn row and
     every move count against one shared attempt limit, and hitting it means
     K is too large for N.
+
+    The order of random draws is fixed, and the tests pin it against a
+    frozen copy of the per-candidate repair (tests/subset_reference.py).
+    Each move draws rng.integers over the conflicting rows in ascending
+    order, then either redraws the row (rng.choice) or draws the tie-break
+    uniforms rng.random((N/2, N/2)), whose cells run over the in-positions
+    ascending by the out-positions ascending.
+
+    The candidate counts come from a decomposition instead of one
+    intersection vector per swap. Swapping in-position a for out-position b
+    of row i moves row j's intersection g_j to g_j - m[j, a] + m[j, b]. With
+    out(v) = 1 for v outside the band, alpha_j = out(g_j - 1) - out(g_j),
+    beta_j = out(g_j + 1) - out(g_j), and j = i left out, row i then has
+
+        per_row[i] + sum_j m[j, a] (1 - m[j, b]) alpha_j
+                   + (1 - m[j, a]) m[j, b] beta_j
+
+    conflicts, which is per_row[i] + (X^T alpha)[a] + (Y^T beta)[b]
+    - (X^T diag(alpha + beta) Y)[a, b] with X and Y the columns of m at the
+    in- and out-positions: one (N/2 x 2K)(2K x N/2) product of [X; 1 - X]
+    weighted by [alpha; beta] against [1 - Y; Y]. Every term is a small
+    integer, so the float64 sums are exact. The per-row conflict counts and
+    their total are updated from the one changed row and column.
     """
     half = n // 2
     lo = math.ceil(n / 4.0 - n / 12.0)
@@ -102,19 +124,29 @@ def _sample_subset_family(n: int, k: int, rng: np.random.Generator) -> np.ndarra
         row[rng.choice(n, size=half, replace=False)] = 1
         return row
 
-    m = np.stack([draw() for _ in range(k)])
+    # alpha, beta and out by intersection value 0..n; the last column is the
+    # value held on the diagonal, a row's own slot, which counts nothing
+    own = n + 1
+    values = np.arange(-1, n + 2)
+    out = ((values < lo) | (values > hi)).astype(np.float64)  # out(v) at index v + 1
+    table = np.zeros((3, n + 2))
+    table[:, :own] = out[:-2] - out[1:-1], out[2:] - out[1:-1], out[1:-1]
+
+    members = np.stack([draw() for _ in range(k)], axis=1).astype(np.intp)  # (N, K)
     attempts = k
-    mid = (lo + hi) // 2  # self-intersections masked with an always-legal value
-    gram = m @ m.T
-    np.fill_diagonal(gram, mid)
-    bad = (gram < lo) | (gram > hi)
+    # left[p] = [m[:, p]; 1 - m[:, p]] and right[p] = [1 - m[:, p]; m[:, p]]:
+    # swapping a for b adds (left[a] * [alpha; beta]) . right[b] conflicts
+    left = np.concatenate([members, 1 - members], axis=1).astype(np.float64)
+    right = np.concatenate([1 - members, members], axis=1).astype(np.float64)
+    gram = members.T @ members
+    np.fill_diagonal(gram, own)
+    per_row = table[2].take(gram).sum(axis=1)
+    total = int(per_row.sum())  # each conflicting pair counted from both rows
     best_total = np.inf
     stall = 0
     while True:
-        per_row = bad.sum(axis=1)
-        total = int(per_row.sum())
         if total == 0:
-            return m.astype(bool)
+            return members.T.astype(bool, order="C")
         if attempts >= REJECTION_ATTEMPT_LIMIT:
             raise RejectionLimitError(
                 f"no subset family found in {REJECTION_ATTEMPT_LIMIT} attempts; "
@@ -126,29 +158,45 @@ def _sample_subset_family(n: int, k: int, rng: np.random.Generator) -> np.ndarra
             stall = 0
         else:
             stall += 1
-        viol = np.flatnonzero(per_row > 0)
+        viol = per_row.nonzero()[0]
         i = int(viol[rng.integers(len(viol))])
+        inter = gram[i]  # a view: updated in place below
+        alpha_beta_out = table.take(inter, axis=1)
+        before = per_row.item(i)
         if stall >= _STALL_KICK:
             # long plateau: redraw the whole row to leave the basin
             stall = 0
             best_total = np.inf
-            m[i] = draw()
-            inter = m @ m[i]
+            row = draw()
+            members[:, i] = left[:, i] = right[:, k + i] = row
+            left[:, k + i] = right[:, i] = 1 - row
+            inter[:] = members.T @ row
+            inter[i] = own
+            after_out = table[2].take(inter)
+            after = after_out.sum()
         else:
-            # all single swaps at once: (in, out, row) intersection updates
-            ins = np.flatnonzero(m[i] == 1)
-            outs = np.flatnonzero(m[i] == 0)
-            cand = gram[i][None, None, :] - m[:, ins].T[:, None, :] + m[:, outs].T[None, :, :]
-            cand[:, :, i] = mid
-            counts = ((cand < lo) | (cand > hi)).sum(axis=2)
-            ai, bi = divmod(int(np.argmin(counts + rng.random(counts.shape))), len(outs))
-            m[i, ins[ai]] = 0
-            m[i, outs[bi]] = 1
-            inter = cand[ai, bi]
-        inter[i] = mid
-        gram[i, :] = inter
+            # all single swaps at once: (in, out) conflict counts
+            by_member = members[:, i].argsort(kind="stable")  # outs, then ins, each ascending
+            ins, outs = by_member[half:], by_member[:half]
+            weighted = left.take(ins, axis=0) * alpha_beta_out[:2].reshape(-1)
+            counts = np.dot(weighted, right.take(outs, axis=0).T)
+            counts += before
+            ai, bi = divmod(int((counts + rng.random((half, half))).argmin()), half)
+            a, b = ins[ai], outs[bi]
+            inter -= members[a]
+            inter += members[b]
+            inter[i] = own
+            members[a, i] = left[a, i] = right[a, k + i] = 0
+            members[b, i] = left[b, i] = right[b, k + i] = 1
+            left[a, k + i] = right[a, i] = 1
+            left[b, k + i] = right[b, i] = 0
+            after_out = table[2].take(inter)
+            after = counts[ai, bi]
         gram[:, i] = inter
-        bad[i, :] = bad[:, i] = (inter < lo) | (inter > hi)
+        per_row -= alpha_beta_out[2]
+        per_row += after_out
+        per_row[i] = after
+        total += 2 * int(after - before)
 
 
 def gen_classical_hard_instance(

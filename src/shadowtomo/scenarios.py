@@ -369,7 +369,6 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
             "t_ok": t_ok,
             "ledger_ok": ledger_ok,
             "exact_consumption": _exact_consumption(run, per_search, params.m),
-            "final_p": run.final_p,
         }
     )
     return row, extras

@@ -233,7 +233,10 @@ def test_hard_instance_exact_structure():
     eps_q = 0.05
     for s in range(50):
         inst = gen_quantum_hard_instance(4, 4, eps_q, substream(1011, s))
-        acc = np.array([[inst.acceptance(i, j) for j in range(4)] for i in range(4)])
+        sigmas = [np.asarray(inst.sigma(i).mat) for i in range(4)]
+        acc = np.array(
+            [[np.real(np.trace(inst.projectors[j] @ sigmas[i])) for j in range(4)] for i in range(4)]
+        )
         assert np.all(np.abs(np.diag(acc) - (0.5 + 3.0 * eps_q)) <= 1e-10)
         off = acc[~np.eye(4, dtype=bool)]
         assert np.all(np.abs(off - 0.5) <= eps_q / 2.0 + 1e-10)

@@ -25,6 +25,7 @@ from shadowtomo.hardness import (
 from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
 from shadowtomo.rng import substream
+from subset_reference import reference_subset_family
 
 
 def test_classical_instance_determinism():
@@ -71,9 +72,27 @@ def test_classical_validation_errors():
         gen_classical_hard_instance(8, 2, 0.2, substream(5, 0))  # eps > 1/6
 
 
+def _outcome(sample, n, k, rng):
+    """The family's dtype, shape and bytes, or the limit's message, and the
+    generator's next draw, which shows where the repair left it."""
+    try:
+        family = sample(n, k, rng)
+        result = (family.dtype, family.shape, family.tobytes())
+    except RejectionLimitError as exc:
+        result = str(exc)
+    return result, int(rng.integers(2**62))
+
+
+def _assert_draw_for_draw(n, k, seed, trial):
+    got = _outcome(_sample_subset_family, n, k, substream(seed, trial))
+    assert got == _outcome(reference_subset_family, n, k, substream(seed, trial))
+    return got
+
+
 def test_subset_family_rejection_limit():
-    with pytest.raises(RejectionLimitError):
-        _sample_subset_family(4, 200, substream(6, 0))
+    # the limit is reached after the frozen repair's draws, with its message
+    result, _ = _assert_draw_for_draw(4, 200, 6, 0)
+    assert result == "no subset family found in 10000 attempts; K=200 is too large for N=4"
 
 
 # (N, K) pairs the repair must solve, up to the shipped classical config
@@ -105,6 +124,49 @@ def test_subset_family_repair_finishes_at_the_classical_config():
         _assert_subset_family(_sample_subset_family(16, 32, substream(0, trial)), 16, 32)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 10).map(lambda h: 2 * h),
+    k=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    trial=st.integers(0, 2**16),
+)
+def test_subset_family_matches_the_reference_draw_for_draw(n, k, seed, trial):
+    # the count decomposition makes the frozen repair's draws: same masks or
+    # the same limit message, and the generator ends in the same place
+    _assert_draw_for_draw(n, k, seed, trial)
+
+
+class _CountingGenerator:
+    """A generator that counts its `choice` calls: K initial rows, then one
+    per stall kick."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("trial", [0, 1, 6])
+def test_subset_family_matches_the_reference_through_stall_kicks(trial):
+    # about half of the shipped N=16, K=32 repairs redraw a row on a plateau
+    counting = _CountingGenerator(substream(0, trial))
+    _sample_subset_family(16, 32, counting)
+    assert counting.choices > 32
+    _assert_draw_for_draw(16, 32, 0, trial)
+
+
+def _quantum_acceptance(inst, i, j):
+    """Tr(P_j sigma_i)."""
+    return float(np.real(np.trace(inst.projectors[j] @ np.asarray(inst.sigma(i).mat))))
+
+
 def test_quantum_instance_determinism_and_shape():
     a = gen_quantum_hard_instance(4, 4, 0.05, substream(8, 0))
     b = gen_quantum_hard_instance(4, 4, 0.05, substream(8, 0))
@@ -123,7 +185,7 @@ def test_quantum_projectors_are_half_rank():
 def test_quantum_diagonal_acceptance_is_exact():
     inst = gen_quantum_hard_instance(4, 4, 0.05, substream(10, 0))
     for i in range(4):
-        assert abs(inst.acceptance(i, i) - (0.5 + 3 * 0.05)) < 1e-10
+        assert abs(_quantum_acceptance(inst, i, i) - (0.5 + 3 * 0.05)) < 1e-10
 
 
 def test_quantum_cross_acceptance_within_half_eps():
@@ -131,7 +193,7 @@ def test_quantum_cross_acceptance_within_half_eps():
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert abs(inst.acceptance(i, j) - 0.5) <= 0.05 / 2 + 1e-10
+                assert abs(_quantum_acceptance(inst, i, j) - 0.5) <= 0.05 / 2 + 1e-10
 
 
 def test_quantum_sigma_eigenvalue_structure():
