@@ -24,7 +24,7 @@ of the membership matrix, rather than from an intersection vector per swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,18 +350,6 @@ def identify_index_quantum(
     return guess, guess == true_index
 
 
-@dataclass(frozen=True)
-class OverlapReport:
-    n: int
-    trials: int
-    mean: float
-    max_dev_half: float
-    max_dev_quarter: float
-    tail_freq_half: float
-    tail_freq_quarter: float
-    overlaps: np.ndarray = field(repr=False)
-
-
 def overlap_statistics(overlaps: np.ndarray) -> dict[str, float]:
     """Mean of the overlaps, and their largest deviation and 1/20-tail
     frequency around each candidate center 1/2 and 1/4."""
@@ -374,13 +362,13 @@ def overlap_statistics(overlaps: np.ndarray) -> dict[str, float]:
     }
 
 
-def hlw_overlap_experiment(n: int, trials: int, rng: np.random.Generator) -> OverlapReport:
-    """Concentration of Tr(P_T rho_S) for a fixed half-dimension T and Haar
-    half-dimension S.
+def hlw_overlap_experiment(n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The overlaps Tr(P_T rho_S) of `trials` Haar half-dimension subspaces S
+    with a fixed half-dimension T, one per trial.
 
-    Unitary invariance gives E[rho_S] = I/N and hence mean 1/2, and the
-    concentration radius of 1/20 is reported around both candidate centers
-    1/4 and 1/2 without asserting either.
+    Unitary invariance gives E[rho_S] = I/N and hence mean 1/2;
+    overlap_statistics reports their concentration around both candidate
+    centers 1/4 and 1/2 without asserting either.
     """
     if n < 2 or n % 2:
         raise ValueError("N must be even and at least 2")
@@ -392,4 +380,4 @@ def hlw_overlap_experiment(n: int, trials: int, rng: np.random.Generator) -> Ove
         iso = haar_isometry(n, half, rng)
         # Tr(P_T rho_S) = (2/N) |top half of the isometry|_F^2
         overlaps[t] = 2.0 / n * float(np.sum(np.abs(iso[:half, :]) ** 2))
-    return OverlapReport(n=n, trials=trials, **overlap_statistics(overlaps), overlaps=overlaps)
+    return overlaps

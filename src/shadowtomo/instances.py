@@ -123,8 +123,7 @@ def or_promise_instance(
         overlap = planted_value if i == planted_at else low_cap * rng.random()
         phi = pure_with_overlap(psi, overlap, rng)
         effects.append(Effect(np.outer(phi, phi.conj()), atol=CONSTRUCTION_ATOL))
-    meta = {"planted_index": planted_at, "case": "case_ii" if planted_at is None else "case_i"}
-    return Instance(rho, effects, meta)
+    return Instance(rho, effects)
 
 
 def projector_instance(d: int, m: int, rng: np.random.Generator) -> Instance:
@@ -132,7 +131,7 @@ def projector_instance(d: int, m: int, rng: np.random.Generator) -> Instance:
     psi = random_pure(d, rng)
     rho = DensityMatrix(np.outer(psi, psi.conj()), atol=CONSTRUCTION_ATOL)
     effects = [random_projector(d, 1, rng) for _ in range(m)]
-    return Instance(rho, effects, {"kind": "rank1-projectors"})
+    return Instance(rho, effects)
 
 
 def _diagonal_effect_with_value(
@@ -175,5 +174,5 @@ def diagonal_gap_instance(
         e = _diagonal_effect_with_value(p, target, rng)
         effects.append(Effect(np.diag(e), atol=CONSTRUCTION_ATOL))
         sides.append("above" if above else "below")
-    inst = Instance(rho, effects, {"kind": "diagonal-gap", "sides": sides})
+    inst = Instance(rho, effects, {"sides": sides})
     return inst, [cutoff] * m

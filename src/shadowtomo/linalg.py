@@ -33,7 +33,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    kind: str
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -177,36 +176,31 @@ def validate(
     atol: float = CONSTRUCTION_ATOL,
     eigenvalues: np.ndarray | None = None,
 ) -> ValidationReport:
-    """Check the structural invariants of `kind` and report every violation.
+    """Check the structural invariants of `kind` on the square matrix m and
+    report every violation.
 
-    kind is one of "hermitian", "density", "effect". The spectrum checks
-    read `eigenvalues` when the caller already holds m's spectrum, and take
-    an eigvalsh of m otherwise; the Hermiticity check is always on m itself.
-    Nothing is raised; the caller decides what a violation means.
+    kind is "density" or "effect". The spectrum checks read `eigenvalues`
+    when the caller already holds m's spectrum, and take an eigvalsh of m
+    otherwise; the Hermiticity check is always on m itself. Nothing is
+    raised; the caller decides what a violation means.
     """
-    if kind not in ("hermitian", "density", "effect"):
+    if kind not in ("density", "effect"):
         raise ValueError(f"unknown validation kind {kind!r}")
     violations: list[Violation] = []
-    try:
-        m = as_complex_matrix(m)
-    except DimensionMismatchError:
-        return ValidationReport(kind, False, (Violation("square", float("nan")),))
-
     defect = hermiticity_defect(m)
     if defect > atol:
         violations.append(Violation("hermitian", defect))
 
-    if kind in ("density", "effect"):
-        vals = np.linalg.eigvalsh(hermitize(m)) if eigenvalues is None else np.sort(eigenvalues)
-        # spectrum checks tolerate post-arithmetic drift
-        spec_atol = max(atol, POST_ARITHMETIC_ATOL)
-        if vals[0] < -spec_atol:
-            violations.append(Violation("psd", float(-vals[0])))
-        if kind == "effect" and vals[-1] > 1.0 + spec_atol:
-            violations.append(Violation("subunital", float(vals[-1] - 1.0)))
-        if kind == "density":
-            tr_err = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
-            if tr_err > spec_atol:
-                violations.append(Violation("unit_trace", tr_err))
+    vals = np.linalg.eigvalsh(hermitize(m)) if eigenvalues is None else np.sort(eigenvalues)
+    # spectrum checks tolerate post-arithmetic drift
+    spec_atol = max(atol, POST_ARITHMETIC_ATOL)
+    if vals[0] < -spec_atol:
+        violations.append(Violation("psd", float(-vals[0])))
+    if kind == "effect" and vals[-1] > 1.0 + spec_atol:
+        violations.append(Violation("subunital", float(vals[-1] - 1.0)))
+    if kind == "density":
+        tr_err = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
+        if tr_err > spec_atol:
+            violations.append(Violation("unit_trace", tr_err))
 
-    return ValidationReport(kind, not violations, tuple(violations))
+    return ValidationReport(not violations, tuple(violations))

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import CONSTRUCTION_ATOL
@@ -50,14 +48,6 @@ def all_keys(d_qubits: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(4), repeat=d_qubits))
 
 
-@dataclass(frozen=True)
-class WiesnerInstance:
-    d_qubits: int
-    true_key: tuple[int, ...]
-    true_key_index: int
-    keys: tuple[tuple[int, ...], ...]
-
-
 @functools.lru_cache(maxsize=2)
 def _verifier_bank(
     d_qubits: int,
@@ -72,20 +62,17 @@ def _verifier_bank(
     return keys, bills, verifiers
 
 
-def make_wiesner_instance(
-    d_qubits: int, rng: np.random.Generator
-) -> tuple[WiesnerInstance, Instance]:
+def make_wiesner_instance(d_qubits: int, rng: np.random.Generator) -> Instance:
     """A random bill plus the complete bank of 4^d verifiers.
 
-    The tomography instance's state is the bill and its effects are every
-    candidate verifier in lexicographic key order; metadata records which
-    index is the minted key. Only the key index is drawn per instance: the
-    states and verifiers are the shared, immutable bank for d_qubits.
+    The instance's state is the bill and its effects are every candidate
+    verifier in the key order of all_keys(d_qubits); metadata["true_key_index"]
+    is the position of the minted key, whose verifier accepts with
+    certainty. Only that index is drawn per instance: the states and
+    verifiers are the shared, immutable bank for d_qubits.
     """
     if d_qubits < 1:
         raise ValueError("need at least one qubit")
     keys, bills, verifiers = _verifier_bank(d_qubits)
     idx = int(rng.integers(len(keys)))
-    instance = Instance(bills[idx], list(verifiers), {"kind": "wiesner", "true_key_index": idx})
-    wiesner = WiesnerInstance(d_qubits, keys[idx], idx, keys)
-    return wiesner, instance
+    return Instance(bills[idx], list(verifiers), {"true_key_index": idx})

@@ -70,8 +70,6 @@ class OrDecision:
     accept_count: int
     rounds: int
     ell: int
-    threshold: int
-    copies_consumed: int
 
 
 def random_order_or_test(effects: list[Measurement], rho_source: CopySource) -> bool:
@@ -122,4 +120,4 @@ def or_bound_decide(
     accept_count = int(batch.measure_units(round_test).sum())
 
     case = "case_i" if 16 * accept_count >= rounds else "case_ii"
-    return OrDecision(case, accept_count, rounds, ell, threshold, ell * w * rounds)
+    return OrDecision(case, accept_count, rounds, ell)

@@ -171,7 +171,6 @@ def leaf_effect(m: Measurement) -> Effect:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    accepted: bool
     probability: float
     post_state: DensityMatrix
 
@@ -207,7 +206,7 @@ def apply_effect(e: Effect, rho: DensityMatrix, accept: bool = True) -> Measurem
     if e.dim != rho.dim:
         raise DimensionMismatchError(f"effect dim {e.dim} vs state dim {rho.dim}")
     prob, post = collapse(rho.mat, np.asarray(e.mat), accept)
-    return MeasurementOutcome(accept, prob, DensityMatrix(post, atol=POST_ARITHMETIC_ATOL))
+    return MeasurementOutcome(prob, DensityMatrix(post, atol=POST_ARITHMETIC_ATOL))
 
 
 def sequential_accept_all(effects: list[Effect], rho: DensityMatrix) -> tuple[float, DensityMatrix]:

@@ -224,7 +224,7 @@ def _trial_verify_gentle(cfg: ScenarioConfig, trial: int, rng: np.random.Generat
     bound = 2.0 * math.sqrt(cfg.epsilon)
     success = damage <= bound and p >= 1.0 - cfg.epsilon
     row = _row(cfg, trial, None, cfg.d, 1, 1, 1, damage, success, 1)
-    return row, {"damage_bound": bound, "accept_prob": p}
+    return row, {}
 
 
 def _trial_verify_union(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
@@ -236,7 +236,7 @@ def _trial_verify_union(cfg: ScenarioConfig, trial: int, rng: np.random.Generato
     d_bound = 4.0 * math.sqrt(cfg.m * cfg.epsilon)
     success = p_all >= p_bound and damage <= d_bound
     row = _row(cfg, trial, None, cfg.d, cfg.m, 1, 1, damage, success, cfg.m)
-    return row, {"all_accept_prob": p_all, "p_bound": p_bound, "damage_bound": d_bound}
+    return row, {}
 
 
 def _trial_orbound(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
@@ -257,13 +257,7 @@ def _trial_orbound(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
         cfg, trial, source, cfg.d, cfg.m,
         source.ledger.consumed, predicted, 0.0 if success else 1.0, success, decision.rounds,
     )
-    extras = {
-        "case_truth": truth,
-        "case_decided": decision.case,
-        "accept_count": decision.accept_count,
-        "exact_consumption": source.ledger.consumed == predicted,
-    }
-    return row, extras
+    return row, {"exact_consumption": source.ledger.consumed == predicted}
 
 
 def _trial_random_order(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
@@ -274,7 +268,7 @@ def _trial_random_order(cfg: ScenarioConfig, trial: int, rng: np.random.Generato
         cfg, trial, source, cfg.d, cfg.m,
         source.ledger.consumed, 1, 0.0 if accepted else 1.0, accepted, 1,
     )
-    return row, {"accepted": accepted}
+    return row, {}
 
 
 def _trial_search(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
@@ -295,13 +289,7 @@ def _trial_search(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
         cfg, trial, source, cfg.d, cfg.m,
         res.copies_consumed, int(math.floor(bound)), err, success, len(res.level_bars),
     )
-    extras = {
-        "found": res.found,
-        "within_bound": res.copies_consumed <= bound,
-        "planted_index": inst.metadata.get("planted_index"),
-        "returned_index": res.index,
-    }
-    return row, extras
+    return row, {"within_bound": res.copies_consumed <= bound}
 
 
 # slack on the Markov bound for the rounding in p_after / p_before
@@ -335,7 +323,6 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
     """One shadow run on `inst` at `params`; its copy source continues `rng`,
     the generator the instance was drawn from."""
     source = CopySource(inst.rho, cfg.mode, rng, budget=cfg.budget)
-    extras: dict = {"k_pred": params.k_pred, "t_bound": params.t_bound, "q": params.q}
     # a search that finds a detector debits exactly q * ell_search copies
     per_search = params.q * params.ell_search
     try:
@@ -345,12 +332,11 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
             cfg, trial, source, params.d, params.m,
             source.ledger.consumed, params.k_pred, 1.0, False, params.t_bound,
         )
-        extras.update(
-            {"error": f"{type(exc).__name__}: {exc}", "t_ok": False,
-             "ledger_ok": source.ledger.consumed <= params.k_pred,
-             "exact_consumption": source.ledger.consumed == params.t_bound * per_search}
-        )
-        return row, extras
+        return row, {
+            "error": f"{type(exc).__name__}: {exc}", "t_ok": False,
+            "ledger_ok": source.ledger.consumed <= params.k_pred,
+            "exact_consumption": source.ledger.consumed == params.t_bound * per_search,
+        }
     truth = np.asarray(inst.ground_truth)
     err = float(np.max(np.abs(run.estimates - truth)))
     success = err <= cfg.epsilon
@@ -361,17 +347,14 @@ def _shadow_style_trial(cfg: ScenarioConfig, trial: int, inst, params: ShadowPar
         cfg, trial, source, params.d, params.m,
         run.copies_consumed, params.k_pred, err, success, run.transcript.t_final,
     )
-    extras.update(
-        {
-            "transcript": run.transcript.as_dict(),
-            "estimates": run.estimates,
-            "markov_ok": markov,
-            "t_ok": t_ok,
-            "ledger_ok": ledger_ok,
-            "exact_consumption": _exact_consumption(run, per_search, params.m),
-        }
-    )
-    return row, extras
+    return row, {
+        "transcript": run.transcript.as_dict(),
+        "estimates": run.estimates,
+        "markov_ok": markov,
+        "t_ok": t_ok,
+        "ledger_ok": ledger_ok,
+        "exact_consumption": _exact_consumption(run, per_search, params.m),
+    }
 
 
 def _exact_consumption(run: ShadowRun, per_search: int, m: int) -> bool:
@@ -393,12 +376,11 @@ def _trial_shadow(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
 
 
 def _trial_money(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
-    wiesner, inst = make_wiesner_instance(cfg.qubits, rng)
+    inst = make_wiesner_instance(cfg.qubits, rng)
     row, extras = _shadow_style_trial(cfg, trial, inst, _money_params(cfg), rng)
     if "error" not in extras:
-        idx = wiesner.true_key_index
+        idx = inst.metadata["true_key_index"]
         err = abs(extras["estimates"][idx] - inst.ground_truth[idx])
-        extras["true_key_index"] = idx
         extras["true_key_within_eps"] = bool(err <= cfg.epsilon)
     return row, extras
 
@@ -414,7 +396,7 @@ def _trial_gap(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
         cfg, trial, source, cfg.d, cfg.m,
         source.ledger.consumed, k, wrong / cfg.m, wrong == 0, cfg.m,
     )
-    return row, {"wrong_decisions": wrong, "k": k}
+    return row, {}
 
 
 def _trial_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
@@ -427,35 +409,35 @@ def _trial_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     err = float(np.max(np.abs(estimates - truth)))
     success = err <= cfg.epsilon
     row = _row(cfg, trial, None, cfg.n, cfg.k, k_samples, k_samples, err, success, 1)
-    return row, {"true_index": true_index, "k_samples": k_samples}
+    return row, {}
 
 
 def _trial_lower_classical(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = gen_classical_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
-    guess, correct = identify_index_classical(inst, true_index, cfg.t_samples, rng)
+    _, correct = identify_index_classical(inst, true_index, cfg.t_samples, rng)
     row = _row(
         cfg, trial, None, cfg.n, cfg.k,
         cfg.t_samples, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
     )
-    return row, {"true_index": true_index, "guess": guess}
+    return row, {}
 
 
 def _trial_lower_quantum(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
     inst = gen_quantum_hard_instance(cfg.n, cfg.k, cfg.epsilon, rng)
     true_index = int(rng.integers(cfg.k))
     source = CopySource(inst.sigma(true_index), cfg.mode, rng, budget=cfg.budget)
-    guess, correct = identify_index_quantum(inst, true_index, cfg.t_samples, source)
+    _, correct = identify_index_quantum(inst, true_index, cfg.t_samples, source)
     row = _row(
         cfg, trial, source, cfg.n, cfg.k,
         source.ledger.consumed, cfg.t_samples, 0.0 if correct else 1.0, correct, 1,
     )
-    return row, {"true_index": true_index, "guess": guess}
+    return row, {}
 
 
 def _trial_hlw(cfg: ScenarioConfig, trial: int, rng: np.random.Generator):
-    report = hlw_overlap_experiment(cfg.n, 1, rng)
-    overlap = float(report.overlaps[0])
+    overlaps = hlw_overlap_experiment(cfg.n, 1, rng)
+    overlap = float(overlaps[0])
     dev = abs(overlap - 0.5)
     row = _row(cfg, trial, None, cfg.n, 1, 1, 1, dev, dev <= cfg.epsilon, 1)
     return row, {"overlap": overlap}
@@ -701,9 +683,6 @@ _REALIZED_EXPONENTS = (
 
 @dataclass(frozen=True)
 class ScenarioOutcome:
-    config: ScenarioConfig
-    rows: list[TrialRow]
-    extras: list[dict]
     summary: dict
     thresholds_met: bool
     csv_path: Path
@@ -765,4 +744,4 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutcome:
     ]
     if transcripts:
         write_json(target / "transcripts.json", transcripts)
-    return ScenarioOutcome(cfg, rows, extras, summary, met, csv_path, summary_path)
+    return ScenarioOutcome(summary, met, csv_path, summary_path)

@@ -67,21 +67,6 @@ class SearchResult:
     copies_consumed: int
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Copy consumption of one search that reaches verification, in units.
-
-    Exact for every search when the candidate count is a power of two.
-    Otherwise a search that walks into the None padding skips those levels'
-    OR decisions and its verification, and debits less."""
-
-    levels: int
-    ells: tuple[int, ...]
-    rounds: int
-    verify_units: int
-    total_units: int
-
-
 def _next_pow2(m: int) -> int:
     if m < 1:
         raise ValueError("need at least one candidate")
@@ -129,30 +114,27 @@ def verify_candidate(
     )
 
 
-def search_budget(m: int, params: SearchParams) -> SearchBudget:
-    """Exact copy consumption of a gentle_search over m candidates that
-    reaches verification, in units.
+def search_budget(m: int, params: SearchParams) -> int:
+    """Exact copy consumption, in units, of a gentle_search over m
+    candidates that reaches verification: each level's OR decision debits
+    its ell times its rounds, and the verification its fixed sample size.
 
-    Every level runs the full OR-bound round count and the verification
-    sample size is fixed, so such a search always debits this much. When m
-    is a power of two every search reaches verification. Otherwise a search
-    that walks into the None padding skips the OR decision of each level
-    whose first half is all padding, and the verification of a padding
-    survivor, so it debits less. Level ells shrink as the window halves.
+    Every level runs the full OR-bound round count, so such a search always
+    debits this much. When m is a power of two every search reaches
+    verification. Otherwise a search that walks into the None padding skips
+    the OR decision of each level whose first half is all padding, and the
+    verification of a padding survivor, so it debits less. Level ells shrink
+    as the window halves.
     """
     levels, alpha, beta = params.level_params(m)
-    ells = []
     half = _next_pow2(m) // 2
-    rounds = 0
+    total = 0
     for k in range(levels):
         p = OrBoundParams(c=params.c - k * alpha, epsilon=alpha, delta=beta)
-        ells.append(p.derived_ell(half))
-        rounds = p.derived_rounds()
+        total += p.derived_ell(half) * p.derived_rounds()
         half //= 2
     gap = min(params.epsilon, params.c - params.epsilon)
-    verify_units = verification_size(beta, gap)
-    total = sum(e * rounds for e in ells) + verify_units
-    return SearchBudget(levels, tuple(ells), rounds, verify_units, total)
+    return total + verification_size(beta, gap)
 
 
 def search_copy_bound(m: int, epsilon: float, delta: float) -> float:

@@ -69,7 +69,8 @@ class ShadowParams:
 
     ell_search is the copy cost, in q-copy units, of one search that
     reaches verification (search_budget); a search that ends in candidate
-    padding debits less."""
+    padding debits less. A run's summary.json records as_dict() as its
+    operating point, so no trial repeats these values."""
 
     d: int
     m: int
@@ -142,7 +143,7 @@ def derive_params(
         raise ValueError("q must be at least 1")
     linalg.check_dense_dim(d**q_eff, "amplified hypothesis")
     t_bound = math.ceil(DEFAULT_CONSTANTS.c_t * q_eff * math.log(d) / epsilon)
-    ell_search = search_budget(2 * m, _refinement_search(beta)).total_units
+    ell_search = search_budget(2 * m, _refinement_search(beta))
     return ShadowParams(
         d=d,
         m=m,
@@ -319,7 +320,6 @@ class ShadowRun:
     estimates: np.ndarray
     transcript: Transcript
     copies_consumed: int
-    final_p: float
 
 
 def run_shadow_tomography(
@@ -363,7 +363,7 @@ def run_shadow_tomography(
         if not found.found:
             transcript = Transcript(tuple(steps), "no deviation detector confirmed", len(steps))
             consumed = rho_source.ledger.consumed - consumed_before
-            return ShadowRun(np.array(values, dtype=np.float64), transcript, consumed, h.p)
+            return ShadowRun(np.array(values, dtype=np.float64), transcript, consumed)
         i, parity = divmod(found.index, 2)
         sign = "+" if parity == 0 else "-"
         f = build_postselection_effect(effects[i], values[i], sign, params)

@@ -19,6 +19,7 @@ from shadowtomo.hardness import (
     gen_classical_hard_instance,
     gen_quantum_hard_instance,
     hlw_overlap_experiment,
+    overlap_statistics,
 )
 from shadowtomo.instances import near_certain_effect, random_density, random_effect
 from shadowtomo.linalg import tensor_power, trace_distance
@@ -192,24 +193,24 @@ def test_shadow_tomography_end_to_end():
 
 
 def test_promise_gap_reliability():
-    cfg, rows, extras = _run_rows("gap")
+    cfg, rows, _ = _run_rows("gap")
     assert cfg.trials == 200 and cfg.m == 16 and cfg.delta == 0.1
     k = gap_test_size(cfg.m, cfg.epsilon, cfg.delta)
     want = math.ceil(
         DEFAULT_CONSTANTS.c_gap * math.log(cfg.m / cfg.delta) / cfg.epsilon**2
     )
     assert k == want
-    assert all(e["k"] == k for e in extras)
+    assert all(r.copies_predicted == k for r in rows)
     correct = sum(r.success for r in rows)
     assert correct >= (1.0 - cfg.delta) * cfg.trials
     print(f"PASS promise gap: {correct}/200 trials all-correct (need >= 180), k={k}")
 
 
 def test_classical_baseline_accuracy():
-    cfg, rows, extras = _run_rows("classical")
+    cfg, rows, _ = _run_rows("classical")
     assert cfg.trials == 200 and cfg.n == 16 and cfg.k == 32 and cfg.delta == 0.1
     k_want = math.ceil(8.0 * math.log(2.0 * cfg.k / cfg.delta) / cfg.epsilon**2)
-    assert all(e.get("k_samples") == k_want for e in extras if "k_samples" in e)
+    assert all(r.copies_consumed == k_want for r in rows)
     good = sum(r.success for r in rows)
     assert good >= (1.0 - cfg.delta) * cfg.trials
     print(f"PASS classical baseline: {good}/200 all-index accurate (need >= 180), k={k_want}")
@@ -251,16 +252,16 @@ def test_hard_instance_exact_structure():
 
 
 def test_subspace_overlap_concentration():
-    r8 = hlw_overlap_experiment(8, 500, substream(1012, 0))
-    assert 0.48 <= r8.mean <= 0.52
+    r8 = overlap_statistics(hlw_overlap_experiment(8, 500, substream(1012, 0)))
+    assert 0.48 <= r8["mean"] <= 0.52
     wins = 0
     for rep in range(10):
-        a = hlw_overlap_experiment(8, 500, substream(1013, rep))
-        b = hlw_overlap_experiment(16, 500, substream(1014, rep))
-        if b.max_dev_half < a.max_dev_half:
+        a = overlap_statistics(hlw_overlap_experiment(8, 500, substream(1013, rep)))
+        b = overlap_statistics(hlw_overlap_experiment(16, 500, substream(1014, rep)))
+        if b["max_dev_half"] < a["max_dev_half"]:
             wins += 1
     assert wins >= 9
-    print(f"PASS subspace overlap: mean {r8.mean:.4f} in [0.48, 0.52], "
+    print(f"PASS subspace overlap: mean {r8['mean']:.4f} in [0.48, 0.52], "
           f"N=16 tighter than N=8 in {wins}/10 experiments")
 
 

@@ -18,6 +18,7 @@ from shadowtomo.hardness import (
     hlw_overlap_experiment,
     identify_index_classical,
     identify_index_quantum,
+    overlap_statistics,
     shannon_entropy,
     signature_guess,
     _sample_subset_family,
@@ -318,19 +319,20 @@ def test_identify_index_quantum_draws_its_copies_from_the_source(mode):
 
 
 def test_hlw_overlap_mean_and_reports():
-    rep = hlw_overlap_experiment(8, 300, substream(23, 0))
-    assert rep.n == 8 and rep.trials == 300
-    assert abs(rep.mean - 0.5) < 0.03
-    assert rep.max_dev_half <= 0.5
+    overlaps = hlw_overlap_experiment(8, 300, substream(23, 0))
+    assert overlaps.shape == (300,)
+    rep = overlap_statistics(overlaps)
+    assert abs(rep["mean"] - 0.5) < 0.03
+    assert rep["max_dev_half"] <= 0.5
     # every overlap sits closer to 1/2 than to 0 or 1 on average, so the
     # tail frequency around 1/2 is far below the one around 1/4
-    assert rep.tail_freq_half < rep.tail_freq_quarter
+    assert rep["tail_freq_half"] < rep["tail_freq_quarter"]
 
 
 def test_hlw_concentration_improves_with_dimension():
-    lo = hlw_overlap_experiment(8, 200, substream(24, 0))
-    hi = hlw_overlap_experiment(32, 200, substream(24, 1))
-    assert hi.max_dev_half < lo.max_dev_half
+    lo = overlap_statistics(hlw_overlap_experiment(8, 200, substream(24, 0)))
+    hi = overlap_statistics(hlw_overlap_experiment(32, 200, substream(24, 1)))
+    assert hi["max_dev_half"] < lo["max_dev_half"]
 
 
 def test_hlw_rejects_bad_arguments():

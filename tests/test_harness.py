@@ -6,7 +6,6 @@ import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -594,14 +593,14 @@ def test_shadow_gate_lets_a_search_that_ends_in_padding_debit_less():
 
 def test_money_true_key_check_reads_the_minted_key(monkeypatch):
     cfg = resolve(ScenarioConfig(scenario="money-demo", trials=1))
-    _, inst = make_wiesner_instance(cfg.qubits, substream(cfg.seed, 0))
+    inst = make_wiesner_instance(cfg.qubits, substream(cfg.seed, 0))
 
     def fake_run(effects, source, params):
         truth = np.array([accept_prob(e, inst.rho) for e in effects])
         estimates = truth.copy()
         # the minted key accepts with certainty, so the least-accepted key is another one
         estimates[int(np.argmin(truth))] += 0.5
-        return ShadowRun(estimates, Transcript((), "no deviation detector confirmed", 0), 0, 1.0)
+        return ShadowRun(estimates, Transcript((), "no deviation detector confirmed", 0), 0)
 
     monkeypatch.setattr(scenarios, "run_shadow_tomography", fake_run)
     row, extras = run_trial(cfg, 0)
@@ -625,7 +624,7 @@ def test_hlw_gates_on_hoeffding_band_below_500_trials(tmp_path, capsys):
 def test_hlw_gate_fails_on_a_biased_overlap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         scenarios, "hlw_overlap_experiment",
-        lambda n, samples, rng: SimpleNamespace(overlaps=np.full(samples, 0.3)),
+        lambda n, samples, rng: np.full(samples, 0.3),
     )
     out = tmp_path / "out"
     code = main(

@@ -7,7 +7,7 @@ import pytest
 
 from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
-from shadowtomo.money import WiesnerInstance, all_keys, key_state, make_wiesner_instance
+from shadowtomo.money import all_keys, key_state, make_wiesner_instance
 from shadowtomo.quantum import accept_prob
 from shadowtomo.rng import substream
 
@@ -66,38 +66,39 @@ def test_all_keys_enumeration():
 
 
 def test_make_wiesner_instance_ground_truth():
-    wi, inst = make_wiesner_instance(2, substream(0, 0))
-    assert isinstance(wi, WiesnerInstance)
+    inst = make_wiesner_instance(2, substream(0, 0))
+    keys = all_keys(2)
     assert len(inst.effects) == 16
-    idx = wi.true_key_index
-    assert inst.metadata["true_key_index"] == idx
-    # the true verifier accepts the bill with certainty
+    idx = inst.metadata["true_key_index"]
+    # the bill is the minted key's state, and its verifier accepts it with certainty
+    bill = key_state(keys[idx])
+    assert np.allclose(inst.rho.mat, np.outer(bill, bill.conj()))
     assert abs(inst.ground_truth[idx] - 1.0) < 1e-12
     # every ground-truth entry is the key overlap
-    for j, key in enumerate(wi.keys):
-        assert abs(inst.ground_truth[j] - key_overlap(wi.true_key, key)) < 1e-12
+    for j, key in enumerate(keys):
+        assert abs(inst.ground_truth[j] - key_overlap(keys[idx], key)) < 1e-12
         assert abs(accept_prob(inst.effects[j], inst.rho) - inst.ground_truth[j]) < 1e-10
 
 
 def test_make_wiesner_instance_deterministic():
-    a_wi, a_inst = make_wiesner_instance(2, substream(1, 0))
-    b_wi, b_inst = make_wiesner_instance(2, substream(1, 0))
-    assert a_wi.true_key == b_wi.true_key
+    a_inst = make_wiesner_instance(2, substream(1, 0))
+    b_inst = make_wiesner_instance(2, substream(1, 0))
+    assert a_inst.metadata == b_inst.metadata
     assert np.allclose(a_inst.rho.mat, b_inst.rho.mat)
 
 
 def _instance_with_key(index, seed):
     """The first instance, over trials of `seed`, whose minted key is `index`."""
     for t in range(1000):
-        wi, inst = make_wiesner_instance(2, substream(seed, t))
-        if wi.true_key_index == index:
+        inst = make_wiesner_instance(2, substream(seed, t))
+        if inst.metadata["true_key_index"] == index:
             return inst
     raise AssertionError(f"no trial minted key {index}")
 
 
 def test_instances_share_one_read_only_verifier_bank():
-    _, a = make_wiesner_instance(2, substream(2, 0))
-    _, b = make_wiesner_instance(2, substream(3, 0))
+    a = make_wiesner_instance(2, substream(2, 0))
+    b = make_wiesner_instance(2, substream(3, 0))
     assert len(a.effects) == 16
     assert all(x is y for x, y in zip(a.effects, b.effects))
     for e in a.effects:

@@ -104,7 +104,6 @@ def test_or_bound_decide_consumes_exactly_ell_times_rounds():
     rounds = params.derived_rounds()
     assert decision.ell == ell
     assert decision.rounds == rounds
-    assert decision.copies_consumed == ell * rounds
     assert src.ledger.consumed == ell * rounds
 
 
@@ -158,9 +157,11 @@ def test_or_bound_decide_certain_effect_case_i():
 
 def test_or_bound_threshold_clamped_into_register_range():
     # 0 < eps <= c <= 1 keeps c - eps/2 in (0, 1), so the threshold
-    # ceil((c - eps/2) * ell) always lands in the register range 0..ell
+    # ceil((c - eps/2) * ell) always lands in the register range 0..ell;
+    # the amplified ThresholdEffect raises on a threshold outside 0..ell+1,
+    # so the decision at the edge c = 1 runs
     params = OrBoundParams(c=1.0, epsilon=0.1, delta=0.1)
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(13, 0))
     decision = or_bound_decide([Effect(np.eye(2))], src, params)
-    assert 0 <= decision.threshold <= decision.ell + 1
+    assert decision.case == "case_i"

@@ -117,7 +117,8 @@ def test_apply_effect_probability_matches_accept_prob():
     rho = random_density(2, rng)
     e = random_effect(2, rng)
     out = apply_effect(e, rho)
-    assert out.accepted
+    # the default branch is the accept branch
+    assert np.allclose(out.post_state.mat, collapse(rho.mat, np.asarray(e.mat), True)[1])
     assert abs(out.probability - accept_prob(e, rho)) < 1e-12
     assert abs(np.trace(out.post_state.mat) - 1.0) < 1e-10
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowtomo import scenarios
+from shadowtomo import scenarios, search
 from shadowtomo.instances import or_promise_instance
 from shadowtomo.ledger import CopySource
 from shadowtomo.modes import FidelityMode
@@ -43,25 +43,33 @@ def test_params_validation():
         SearchParams(c=0.5, epsilon=0.5, delta=0.1)  # eps must be < c
 
 
-def test_search_budget_frozen_values():
+def test_search_budget_frozen_values(monkeypatch):
     # M=8, c=0.9, eps=0.5, delta=0.1: three halving levels with shrinking
-    # ells, the fixed round count, and the final verification sample
+    # ells, the fixed round count, and the final verification sample, as a
+    # real search over 8 candidates decides and debits them
+    decisions = []
+    real = search.or_bound_decide
+    monkeypatch.setattr(
+        search, "or_bound_decide", lambda *a, **kw: decisions.append(real(*a, **kw)) or decisions[-1]
+    )
+    inst = or_promise_instance(2, 8, 0.95, 0.3, substream(0, 0))
+    src = CopySource(inst.rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 1))
     p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
-    b = search_budget(8, p)
-    assert b.levels == 3
-    assert b.ells == (200, 100, 100)
-    assert b.rounds == 164
-    assert sum(e * b.rounds for e in b.ells) == 65600
-    assert b.verify_units == 681
-    assert b.total_units == 66281
+    gentle_search(list(inst.effects), src, p)
+    assert [d.ell for d in decisions] == [200, 100, 100]
+    assert [d.rounds for d in decisions] == [164] * 3
+    assert src.ledger.attribution == {"search-or": 65600, "search-verify": 681}
+    assert search_budget(8, p) == src.ledger.consumed == 66281
 
 
 def test_search_budget_single_candidate_is_verification_only():
     p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
-    b = search_budget(1, p)
-    assert b.levels == 0
-    assert b.ells == ()
-    assert b.total_units == b.verify_units == verification_size(0.1, min(0.5, 0.4))
+    rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    src = CopySource(rho, FidelityMode.FRESH_COPY_STATISTICAL, substream(0, 2))
+    gentle_search([Effect(np.eye(2))], src, p)
+    verify_units = verification_size(0.1, min(0.5, 0.4))
+    assert src.ledger.attribution == {"search-verify": verify_units}
+    assert search_budget(1, p) == verify_units
 
 
 def test_verification_size_formula():
@@ -77,7 +85,7 @@ def test_search_copy_bound_formula():
 
 def test_budget_within_copy_bound_at_reference_point():
     p = SearchParams(c=0.9, epsilon=0.5, delta=0.1)
-    assert search_budget(8, p).total_units <= search_copy_bound(8, 0.5, 0.1)
+    assert search_budget(8, p) <= search_copy_bound(8, 0.5, 0.1)
 
 
 def test_verify_candidate_confirms_and_rejects():
@@ -143,7 +151,7 @@ def test_gentle_search_finds_planted_candidate():
         res = gentle_search(list(inst.effects), src, p)
         if res.found and truth[res.index] >= 0.9 - 0.5:
             found += 1
-        assert res.copies_consumed == search_budget(8, p).total_units
+        assert res.copies_consumed == search_budget(8, p)
         assert res.copies_consumed <= search_copy_bound(8, 0.5, 0.1)
     assert found >= 23
 

@@ -6,8 +6,10 @@ traced method that moves into a base class, or a traced function that is
 renamed, breaks a traced benchmark run. It also counts ledger debits under
 fixed phase names, so a renamed phase silently reads as zero copies. And a
 traced run fails its coverage check when a workload stops calling one of
-its expected spans. These tests load the tracer and the benchmark runner by
-path and fail on any of these in the test suite instead.
+its expected spans, or when the scenario's checks, which the benchmark's
+gates call, stop accepting a trial's extras. These tests load the tracer and
+the benchmark runner by path and fail on any of these in the test suite
+instead.
 """
 
 import importlib
@@ -70,14 +72,35 @@ def test_copy_phases_are_the_ones_the_search_and_gap_test_debit():
     assert search_phases | gap_phases == set(_load_tracer().COPY_PHASES)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_trial_reaches_every_expected_span(workload, monkeypatch):
+def _load_run(monkeypatch):
     # run.py imports its tracer as a top-level module from its own directory
     monkeypatch.syspath_prepend(str(BENCHMARKS))
-    run = _load("benchmark_run", BENCHMARKS / "run.py", monkeypatch)
+    return _load("benchmark_run", BENCHMARKS / "run.py", monkeypatch)
+
+
+def _workload_config(run, workload):
     spec = run.WORKLOADS[workload]
-    cfg = scenarios.resolve(replace(scenarios.load_config(ROOT / spec.config), workers=1))
+    return spec, scenarios.resolve(replace(scenarios.load_config(ROOT / spec.config), workers=1))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_trial_reaches_every_expected_span(workload, monkeypatch):
+    run = _load_run(monkeypatch)
+    spec, cfg = _workload_config(run, workload)
     tracer = run.Tracer()
     with tracer.installed():
         scenarios.run_trial(cfg, 0)
     tracer.check_coverage(spec.expected_spans)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_trial_meets_the_benchmark_gates(workload, monkeypatch):
+    # check_gates reads the scenario's check through scenarios._THRESHOLDS and
+    # counts a trial whose extras hold "error" as failed; the gate report it
+    # prints must serialize
+    run = _load_run(monkeypatch)
+    _, cfg = _workload_config(run, workload)
+    row, extras = scenarios.run_trial(cfg, 0)
+    info, met = run.check_gates(scenarios, cfg, run.Trials([row], [extras], [0.0], []), 1)
+    assert met, info
+    json.dumps(info, default=str)
