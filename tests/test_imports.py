@@ -101,16 +101,6 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _reads(tree: ast.Module) -> set[str]:
-    reads = set(_quoted_annotation_names(tree))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.add(node.attr)
-    return reads
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -119,16 +109,11 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-@cache
-def _read_anywhere() -> frozenset[str]:
-    return frozenset().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in READERS))
-
-
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
-    read = _read_anywhere()
+    reads = _read_by_owner()
     defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
-    unread = [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+    unread = [f"{name} (line {line})" for name, line in defined.items() if not _is_read(name, reads)]
     assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"
 
 
